@@ -2,8 +2,6 @@
 //! `F` + `C_anomaly`, threshold at 0.5, and build anomaly reports that
 //! combine the LEI interpretations with the score.
 
-use std::sync::Arc;
-
 use logsynergy_nn::graph::Graph;
 use logsynergy_nn::kernels::arena;
 use logsynergy_nn::Tensor;
@@ -16,8 +14,9 @@ pub const THRESHOLD: f32 = 0.5;
 
 /// Scores one chunked sweep of `windows` through the model on `graph`,
 /// resetting the tape between chunks so every forward re-traces into
-/// recycled arena buffers. Shared by [`Detector`] (one-shot tape) and
-/// [`InferenceSession`] (long-lived tape).
+/// recycled arena buffers. This is the tape (training / offline-eval)
+/// forward; serving scores through [`crate::infer::InferencePlan`], which
+/// is pinned bit-for-bit to it.
 fn forward_scores(
     model: &LogSynergyModel,
     graph: &Graph,
@@ -50,81 +49,6 @@ fn forward_scores(
         });
     }
     graph.reset();
-}
-
-/// A reusable inference workflow over a shared trained model: one
-/// long-lived inference tape plus arena-recycled scratch, so batched
-/// serving calls stop paying per-call graph and buffer allocations.
-///
-/// Scores are a pure function of `(model, window, embeddings)` — bitwise
-/// identical whatever the batch size or how calls are grouped (the PR 1
-/// kernel determinism contract extends to the batch dimension because
-/// every output element's reduction order is fixed per row).
-pub struct InferenceSession {
-    model: Arc<LogSynergyModel>,
-    batch_size: usize,
-    graph: Graph,
-}
-
-impl InferenceSession {
-    /// Creates a session over a shared model with the default batch size.
-    pub fn new(model: Arc<LogSynergyModel>) -> Self {
-        InferenceSession {
-            model,
-            batch_size: 256,
-            graph: Graph::inference(),
-        }
-    }
-
-    /// Sets the maximum forward batch size.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        assert!(batch_size > 0);
-        self.batch_size = batch_size;
-        self
-    }
-
-    /// The underlying model.
-    pub fn model(&self) -> &LogSynergyModel {
-        &self.model
-    }
-
-    /// A sibling session over the same shared model with a fresh tape
-    /// (e.g. one per serving worker thread).
-    pub fn fork(&self) -> Self {
-        InferenceSession {
-            model: Arc::clone(&self.model),
-            batch_size: self.batch_size,
-            graph: Graph::inference(),
-        }
-    }
-
-    /// Anomaly probabilities for a batch of raw event-id windows.
-    pub fn score_windows(&mut self, windows: &[&[u32]], embeddings: &[Vec<f32>]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(windows.len());
-        forward_scores(
-            &self.model,
-            &self.graph,
-            self.batch_size,
-            windows,
-            embeddings,
-            &mut out,
-        );
-        out
-    }
-
-    /// Anomaly probability for a single window.
-    pub fn score_one(&mut self, events: &[u32], embeddings: &[Vec<f32>]) -> f32 {
-        let mut out = Vec::with_capacity(1);
-        forward_scores(
-            &self.model,
-            &self.graph,
-            self.batch_size,
-            &[events],
-            embeddings,
-            &mut out,
-        );
-        out[0]
-    }
 }
 
 /// An anomaly report, as emitted to operators in deployment (§VI-A
@@ -283,39 +207,6 @@ mod tests {
             .scores(&samples, &embeddings());
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn session_matches_detector_bitwise() {
-        let model = Arc::new(tiny_model());
-        let samples: Vec<SeqSample> = (0..13)
-            .map(|i| SeqSample {
-                events: vec![i % 2, (i + 1) % 2, 0, 1],
-                label: false,
-            })
-            .collect();
-        let via_detector = Detector::new(&model).scores(&samples, &embeddings());
-        let windows: Vec<&[u32]> = samples.iter().map(|s| s.events.as_slice()).collect();
-
-        let mut session = InferenceSession::new(Arc::clone(&model)).with_batch_size(4);
-        let batched = session.score_windows(&windows, &embeddings());
-        // Reusing the same session (tape already traced once) must not
-        // perturb anything either.
-        let again = session.score_windows(&windows, &embeddings());
-        let one_by_one: Vec<f32> = windows
-            .iter()
-            .map(|w| session.score_one(w, &embeddings()))
-            .collect();
-
-        for (i, &expect) in via_detector.iter().enumerate() {
-            assert_eq!(expect.to_bits(), batched[i].to_bits(), "window {i} batched");
-            assert_eq!(expect.to_bits(), again[i].to_bits(), "window {i} reused");
-            assert_eq!(
-                expect.to_bits(),
-                one_by_one[i].to_bits(),
-                "window {i} single"
-            );
         }
     }
 

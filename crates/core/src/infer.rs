@@ -1,16 +1,16 @@
 //! Fused, graph-free inference for the frozen serving model (`F` +
-//! `C_anomaly`): the tape-based [`crate::detector::InferenceSession`]
-//! re-traces the autograd graph every chunk; this plan runs the same math
-//! straight through reused scratch buffers with the transformer hot path
-//! fused — QKV as one `[d, 3d]` GEMM, attention per `(batch, head)`
-//! against a single `[T, T]` score scratch, and the GELU fast path applied
-//! in place inside the MLP sweep.
+//! `C_anomaly`) — the one f32 serving engine. The tape
+//! ([`crate::detector::Detector`]) re-traces the autograd graph every
+//! chunk and stays the training / offline-evaluation path; this plan runs
+//! the same math straight through reused scratch buffers with the
+//! transformer hot path fused — QKV as one `[d, 3d]` GEMM, attention per
+//! `(batch, head)` against a single `[T, T]` score scratch, and the GELU
+//! fast path applied in place inside the MLP sweep.
 //!
-//! **Bitwise contract:** scores are bit-identical to
-//! `InferenceSession::score_windows` / `Detector::scores` for every window
-//! and batch size. Every step reuses the exact tape kernels (see
-//! [`logsynergy_nn::infer`]); the test suite pins this end-to-end on a
-//! trained model.
+//! **Bitwise contract:** scores are bit-identical to `Detector::scores`
+//! for every window, batch size and call grouping. Every step reuses the
+//! exact tape kernels (see [`logsynergy_nn::infer`]); the test suite pins
+//! this end-to-end on a trained model.
 //!
 //! The plan also drives **calibration** for the int8 path (`quant`
 //! feature): [`InferencePlan::calibrate`] runs the f32 forward over a
@@ -86,15 +86,19 @@ fn absmax_update(slot: &mut f32, xs: &[f32]) {
     }
 }
 
-/// Reused forward scratch, sized once for the plan's batch size.
-struct Scratch {
+/// Caller-owned forward scratch for one [`InferencePlan`]: keep one per
+/// scoring thread and pass it to [`InferencePlan::score_windows_with`] so
+/// calls stop paying for allocation. It starts empty and grows to the
+/// largest chunk it has served (at most the plan's batch size).
+///
+/// It carries **no state** between calls: every forward overwrites each
+/// byte before reading it, so whatever an earlier (or abandoned, e.g.
+/// unwound) forward left behind cannot reach a later score.
+pub struct PlanScratch {
     x: Vec<f32>,
     h: Vec<f32>,
     n: Vec<f32>,
     qkv: Vec<f32>,
-    q: Vec<f32>,
-    k: Vec<f32>,
-    v: Vec<f32>,
     concat: Vec<f32>,
     a: Vec<f32>,
     hidden: Vec<f32>,
@@ -104,42 +108,12 @@ struct Scratch {
     head: Vec<f32>,
 }
 
-impl Scratch {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        bs: usize,
-        t: usize,
-        embed: usize,
-        d: usize,
-        head_dim: usize,
-        ff: usize,
-        head_max: usize,
-    ) -> Self {
-        let rows = bs * t;
-        Scratch {
-            x: vec![0.0; rows * embed],
-            h: vec![0.0; rows * d],
-            n: vec![0.0; rows * d],
-            qkv: vec![0.0; rows * 3 * d],
-            q: vec![0.0; rows * d],
-            k: vec![0.0; rows * d],
-            v: vec![0.0; rows * d],
-            concat: vec![0.0; rows * d],
-            a: vec![0.0; rows * d],
-            hidden: vec![0.0; rows * ff],
-            attn: nni::AttnScratch::new(t, head_dim),
-            pooled: vec![0.0; bs * d],
-            feat: vec![0.0; bs * head_max],
-            head: vec![0.0; bs * head_max],
-        }
-    }
-}
-
 /// A frozen, fused inference plan over copied model weights.
 ///
-/// Build once per worker with [`InferencePlan::from_model`], then call
-/// [`InferencePlan::score_windows`] — same signature and bit-identical
-/// output as the tape session, several times faster.
+/// Build once with [`InferencePlan::from_model`] and share it (`Arc`)
+/// across workers; each worker scores through
+/// [`InferencePlan::score_windows_with`] and its own [`PlanScratch`] —
+/// bit-identical to the tape's `Detector::scores`, without the tape.
 pub struct InferencePlan {
     pub(crate) t: usize,
     pub(crate) embed: usize,
@@ -252,40 +226,77 @@ impl InferencePlan {
         }
     }
 
-    /// Sets the maximum forward batch size (default 256, matching the tape
-    /// session).
+    /// Sets the maximum forward batch size (default 256, matching the
+    /// tape's `Detector`).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         assert!(batch_size > 0);
         self.batch_size = batch_size;
         self
     }
 
-    fn scratch(&self) -> Scratch {
+    /// An empty scratch for this plan's geometry.
+    pub fn scratch(&self) -> PlanScratch {
+        PlanScratch {
+            x: Vec::new(),
+            h: Vec::new(),
+            n: Vec::new(),
+            qkv: Vec::new(),
+            concat: Vec::new(),
+            a: Vec::new(),
+            hidden: Vec::new(),
+            attn: nni::AttnScratch::new(self.t, self.head_dim),
+            pooled: Vec::new(),
+            feat: Vec::new(),
+            head: Vec::new(),
+        }
+    }
+
+    /// Grows `s` (never shrinks it) to hold a forward over `b` windows.
+    fn reserve(&self, s: &mut PlanScratch, b: usize) {
         let head_max = self
             .head
             .iter()
             .map(|h| h.in_dim.max(h.out_dim))
-            .max()
-            .unwrap_or(1)
-            .max(self.d);
-        Scratch::new(
-            self.batch_size,
-            self.t,
-            self.embed,
-            self.d,
-            self.head_dim,
-            self.ff,
-            head_max,
-        )
+            .fold(self.half, usize::max);
+        let rows = b * self.t;
+        for (buf, len) in [
+            (&mut s.x, rows * self.embed),
+            (&mut s.h, rows * self.d),
+            (&mut s.n, rows * self.d),
+            (&mut s.qkv, rows * 3 * self.d),
+            (&mut s.concat, rows * self.d),
+            (&mut s.a, rows * self.d),
+            (&mut s.hidden, rows * self.ff),
+            (&mut s.pooled, b * self.d),
+            (&mut s.feat, b * head_max),
+            (&mut s.head, b * head_max),
+        ] {
+            if buf.len() < len {
+                buf.resize(len, 0.0);
+            }
+        }
     }
 
-    /// Anomaly probabilities for a batch of raw event-id windows — the
-    /// fused equivalent of `InferenceSession::score_windows`.
+    /// Anomaly probabilities for a batch of raw event-id windows, through
+    /// a one-shot scratch sized for `min(batch_size, windows.len())`
+    /// windows. Serving loops should hold a [`PlanScratch`] and call
+    /// [`InferencePlan::score_windows_with`] instead.
     pub fn score_windows(&self, windows: &[&[u32]], embeddings: &[Vec<f32>]) -> Vec<f32> {
+        self.score_windows_with(&mut self.scratch(), windows, embeddings)
+    }
+
+    /// [`InferencePlan::score_windows`] through a caller-owned scratch
+    /// (from [`InferencePlan::scratch`] of this plan) that persists across
+    /// calls.
+    pub fn score_windows_with(
+        &self,
+        scratch: &mut PlanScratch,
+        windows: &[&[u32]],
+        embeddings: &[Vec<f32>],
+    ) -> Vec<f32> {
         let mut out = Vec::with_capacity(windows.len());
-        let mut scratch = self.scratch();
         for chunk in windows.chunks(self.batch_size) {
-            self.forward_chunk(&mut scratch, chunk, embeddings, &mut out, None);
+            self.forward_chunk(scratch, chunk, embeddings, &mut out, None);
         }
         out
     }
@@ -317,7 +328,7 @@ impl InferencePlan {
     /// chunk body step for step.
     fn forward_chunk(
         &self,
-        s: &mut Scratch,
+        s: &mut PlanScratch,
         chunk: &[&[u32]],
         embeddings: &[Vec<f32>],
         out: &mut Vec<f32>,
@@ -325,6 +336,7 @@ impl InferencePlan {
     ) {
         let (b, t, d, embed) = (chunk.len(), self.t, self.d, self.embed);
         let rows = b * t;
+        self.reserve(s, b);
         // Gather [b*t, embed], zero-padded beyond each window's length.
         let x = &mut s.x[..rows * embed];
         x.fill(0.0);
@@ -349,20 +361,17 @@ impl InferencePlan {
             if let Some(c) = calib.as_deref_mut() {
                 absmax_update(&mut c.layers[li].qkv_in, n);
             }
-            // Fused QKV: one [d, 3d] GEMM, then split for the head sweep.
+            // Fused QKV: one [d, 3d] GEMM; the head sweep gathers Q, K and
+            // V straight out of its interleaved rows.
             let qkv = &mut s.qkv[..rows * 3 * d];
             nni::linear_into(n, &layer.wqkv, Some(&layer.bqkv), qkv, rows, d, 3 * d);
-            for r in 0..rows {
-                s.q[r * d..(r + 1) * d].copy_from_slice(&qkv[r * 3 * d..r * 3 * d + d]);
-                s.k[r * d..(r + 1) * d].copy_from_slice(&qkv[r * 3 * d + d..r * 3 * d + 2 * d]);
-                s.v[r * d..(r + 1) * d].copy_from_slice(&qkv[r * 3 * d + 2 * d..(r + 1) * 3 * d]);
-            }
             let concat = &mut s.concat[..rows * d];
             let scale = 1.0 / (self.head_dim as f32).sqrt();
-            nni::attention_sweep(
-                &s.q[..rows * d],
-                &s.k[..rows * d],
-                &s.v[..rows * d],
+            nni::attention_sweep_strided(
+                qkv,
+                &qkv[d..],
+                &qkv[2 * d..],
+                3 * d,
                 b,
                 t,
                 self.heads,
@@ -511,6 +520,96 @@ mod tests {
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "window {i}: {g} vs {w}");
         }
+    }
+
+    #[test]
+    fn reused_scratch_matches_detector_bitwise() {
+        let model = tiny_model();
+        let samples: Vec<SeqSample> = (0..13)
+            .map(|i| SeqSample {
+                events: vec![i % 2, (i + 1) % 2, 0, 1],
+                label: false,
+            })
+            .collect();
+        let want = Detector::new(&model).scores(&samples, &embeddings());
+        let windows: Vec<&[u32]> = samples.iter().map(|s| s.events.as_slice()).collect();
+
+        let plan = InferencePlan::from_model(&model).with_batch_size(4);
+        let mut scratch = plan.scratch();
+        // One at a time first, so the scratch then has to grow for the
+        // batched calls; a scratch that has already served forwards must
+        // not perturb anything.
+        let one_by_one: Vec<f32> = windows
+            .iter()
+            .map(|w| plan.score_windows_with(&mut scratch, &[w], &embeddings())[0])
+            .collect();
+        let batched = plan.score_windows_with(&mut scratch, &windows, &embeddings());
+        let again = plan.score_windows_with(&mut scratch, &windows, &embeddings());
+        for (i, &expect) in want.iter().enumerate() {
+            assert_eq!(
+                expect.to_bits(),
+                one_by_one[i].to_bits(),
+                "window {i} single"
+            );
+            assert_eq!(expect.to_bits(), batched[i].to_bits(), "window {i} batched");
+            assert_eq!(expect.to_bits(), again[i].to_bits(), "window {i} reused");
+        }
+    }
+
+    #[test]
+    fn scratch_carries_no_state_between_calls() {
+        // Every forward must overwrite each scratch byte before reading it:
+        // poison the whole scratch with NaN between two calls (what an
+        // unwound, half-finished forward could leave behind at worst) and
+        // demand the same bits, for full and for short probe windows.
+        let model = tiny_model();
+        let windows_owned: Vec<Vec<u32>> = (0..11u32)
+            .map(|i| (0..4 - i % 2).map(|j| (i + j) % 3).collect())
+            .collect();
+        let windows: Vec<&[u32]> = windows_owned.iter().map(|w| w.as_slice()).collect();
+        let plan = InferencePlan::from_model(&model).with_batch_size(8);
+        let mut scratch = plan.scratch();
+        let clean = plan.score_windows_with(&mut scratch, &windows, &embeddings());
+        let s = &mut scratch;
+        for buf in [
+            &mut s.x,
+            &mut s.h,
+            &mut s.n,
+            &mut s.qkv,
+            &mut s.concat,
+            &mut s.a,
+            &mut s.hidden,
+            &mut s.pooled,
+            &mut s.feat,
+            &mut s.head,
+        ] {
+            assert!(!buf.is_empty());
+            buf.fill(f32::NAN);
+        }
+        let poisoned = plan.score_windows_with(&mut scratch, &windows, &embeddings());
+        for (c, p) in clean.iter().zip(&poisoned) {
+            assert_eq!(c.to_bits(), p.to_bits());
+        }
+    }
+
+    #[test]
+    fn scratch_grows_to_the_largest_chunk_only() {
+        let model = tiny_model();
+        let plan = InferencePlan::from_model(&model);
+        let window: &[u32] = &[0, 1, 2, 0];
+        let mut scratch = plan.scratch();
+        assert!(scratch.x.is_empty());
+        plan.score_windows_with(&mut scratch, &[window], &embeddings());
+        assert_eq!(scratch.x.len(), plan.t * plan.embed);
+        plan.score_windows_with(&mut scratch, &[window; 5], &embeddings());
+        assert_eq!(scratch.x.len(), 5 * plan.t * plan.embed);
+        plan.score_windows_with(&mut scratch, &[window; 2], &embeddings());
+        assert_eq!(scratch.x.len(), 5 * plan.t * plan.embed);
+        // Never beyond the batch size, however many windows one call brings.
+        let plan = plan.with_batch_size(3);
+        let mut scratch = plan.scratch();
+        plan.score_windows_with(&mut scratch, &[window; 10], &embeddings());
+        assert_eq!(scratch.x.len(), 3 * plan.t * plan.embed);
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn int8_verdicts_agree_with_f32_within_gate() {
         "test set needs anomalies"
     );
 
-    // f32 reference: the tape-backed detector (the serving default).
+    // f32 reference: the tape detector (the serving plan is bit-identical to it).
     let f32_scores = Detector::new(&model).scores(&test, &tgt.event_embeddings);
 
     // int8: calibrated on the training sliver, evaluated on held-out data.

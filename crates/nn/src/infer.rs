@@ -20,6 +20,13 @@
 //! matrices is bit-neutral), attention runs per `(batch, head)` against a
 //! single `[T, T]` score scratch instead of tape-wide `[B, T, T]` tensors,
 //! and the MLP applies the GELU fast path in place between its two GEMMs.
+//!
+//! Width: the crate is built for baseline x86-64, so a plain loop
+//! autovectorizes to 4-lane SSE2. Two sweeps cost as much as a GEMM at
+//! that width and are restructured without reordering any element's
+//! operations: [`gelu_inplace`] is compiled per SIMD tier, and
+//! [`layer_norm_into`] interleaves the reduction chains of eight rows
+//! (see `docs/kernels.md`).
 
 use crate::kernels::{self, mm, mm_nt};
 use crate::ops::gelu_scalar;
@@ -72,19 +79,65 @@ pub fn add_pos_inplace(h: &mut [f32], pos: &[f32], batch: usize, t: usize, d: us
     }
 }
 
+/// Rows whose layer-norm statistics advance together: each row's two sums
+/// are strictly sequential f32 chains, so one row at a time is bound by
+/// add latency; eight independent chains fill the pipeline instead.
+const LN_ROWS: usize = 8;
+
 /// Row-wise layer norm `dst = (src - mean) / sqrt(var + eps) * gamma + beta`
-/// — the exact per-row loop of the fused `ops::layer_norm` kernel.
+/// — per row, the exact operation sequence of the fused `ops::layer_norm`
+/// kernel; across rows, statistics are computed [`LN_ROWS`] at a time.
 pub fn layer_norm_into(src: &[f32], gamma: &[f32], beta: &[f32], eps: f32, dst: &mut [f32]) {
     let d = gamma.len();
     debug_assert_eq!(beta.len(), d);
     debug_assert_eq!(src.len(), dst.len());
     debug_assert_eq!(src.len() % d.max(1), 0);
-    for (row, orow) in src.chunks_exact(d).zip(dst.chunks_exact_mut(d)) {
-        let mu = row.iter().sum::<f32>() / d as f32;
-        let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
-        let rst = 1.0 / (var + eps).sqrt();
-        for j in 0..d {
-            orow[j] = (row[j] - mu) * rst * gamma[j] + beta[j];
+    let block = (LN_ROWS * d).max(1);
+    for (rows, orows) in src.chunks(block).zip(dst.chunks_mut(block)) {
+        if rows.len() == block {
+            ln_rows::<LN_ROWS>(rows, gamma, beta, eps, orows);
+        } else {
+            for (row, orow) in rows.chunks_exact(d).zip(orows.chunks_exact_mut(d)) {
+                ln_rows::<1>(row, gamma, beta, eps, orow);
+            }
+        }
+    }
+}
+
+/// Layer norm of `R` rows with their reduction chains interleaved. Each
+/// row still sums ascending `j` from `Iterator::sum`'s own starting value
+/// (which is what makes a row of `-0.0` sum to `-0.0`), so its bits are
+/// those of the one-row loop.
+///
+/// Deliberately *not* tier-dispatched, and kept out of line so it is never
+/// inlined into a wide caller: under `avx512f` LLVM turns the interleaved
+/// reductions into gathers and runs them 2–4× slower than this
+/// baseline-ISA code, and the apply pass is too short to repay a dispatch
+/// of its own.
+#[inline(never)]
+fn ln_rows<const R: usize>(rows: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+    let d = gamma.len();
+    debug_assert_eq!(rows.len(), R * d);
+    let start: f32 = std::iter::empty::<f32>().sum();
+    let mut acc = [start; R];
+    for j in 0..d {
+        for r in 0..R {
+            acc[r] += rows[r * d + j];
+        }
+    }
+    let mu = acc.map(|s| s / d as f32);
+    acc = [start; R];
+    for j in 0..d {
+        for r in 0..R {
+            let c = rows[r * d + j] - mu[r];
+            acc[r] += c * c;
+        }
+    }
+    let stats = mu.iter().zip(&acc);
+    for ((row, orow), (&mu, &sq)) in rows.chunks_exact(d).zip(out.chunks_exact_mut(d)).zip(stats) {
+        let rst = 1.0 / (sq / d as f32 + eps).sqrt();
+        for ((o, &x), (&g, &b)) in orow.iter_mut().zip(row).zip(gamma.iter().zip(beta)) {
+            *o = (x - mu) * rst * g + b;
         }
     }
 }
@@ -109,10 +162,40 @@ pub fn softmax_rows(buf: &mut [f32], d: usize) {
 }
 
 /// In-place GELU (tanh fast path) — the tape's `ops::gelu` forward.
+///
+/// The one sweep that is compute-bound (a clamp, two polynomials and a
+/// divide per element), so the one that is tier-dispatched: the same loop
+/// body compiled for AVX2 and AVX-512 and picked by the matmul tier. The
+/// wrappers enable no `fma`, and Rust never contracts `a * b + c`, so every
+/// lane runs the same IEEE operations in the same order at any width — all
+/// tiers give the same bits.
 pub fn gelu_inplace(buf: &mut [f32]) {
-    for o in buf.iter_mut() {
-        *o = gelu_scalar(*o);
+    #[inline(always)]
+    fn body(buf: &mut [f32]) {
+        for o in buf.iter_mut() {
+            *o = gelu_scalar(*o);
+        }
     }
+    #[cfg(target_arch = "x86_64")]
+    {
+        use kernels::matmul::{tier, Tier};
+        #[target_feature(enable = "avx2")]
+        unsafe fn wide256(buf: &mut [f32]) {
+            body(buf)
+        }
+        #[target_feature(enable = "avx512f,avx512vl")]
+        unsafe fn wide512(buf: &mut [f32]) {
+            body(buf)
+        }
+        // SAFETY: a tier is only reported when the CPU has the features
+        // its wrapper enables.
+        match tier() {
+            Tier::Fma512 => return unsafe { wide512(buf) },
+            Tier::Fma256 => return unsafe { wide256(buf) },
+            Tier::Scalar => {}
+        }
+    }
+    body(buf)
 }
 
 /// In-place ReLU — the tape's `ops::relu` forward.
@@ -198,15 +281,39 @@ pub fn attention_sweep(
     concat: &mut [f32],
     scratch: &mut AttnScratch,
 ) {
+    debug_assert_eq!(q.len(), batch * t * heads * head_dim);
+    let stride = heads * head_dim;
+    attention_sweep_strided(
+        q, k, v, stride, batch, t, heads, head_dim, scale, concat, scratch,
+    );
+}
+
+/// [`attention_sweep`] over operands whose rows are `stride` floats apart,
+/// so the heads can be gathered straight out of a fused `[B·T, 3D]` QKV
+/// projection (`q = &qkv[..]`, `k = &qkv[D..]`, `v = &qkv[2 * D..]`,
+/// `stride = 3 * D`) without splitting it first.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_sweep_strided(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    stride: usize,
+    batch: usize,
+    t: usize,
+    heads: usize,
+    head_dim: usize,
+    scale: f32,
+    concat: &mut [f32],
+    scratch: &mut AttnScratch,
+) {
     let d = heads * head_dim;
-    debug_assert_eq!(q.len(), batch * t * d);
     debug_assert_eq!(concat.len(), batch * t * d);
     kernels::stats::record_fused_attention();
     for b in 0..batch {
         for h in 0..heads {
             let off = h * head_dim;
             for tt in 0..t {
-                let row = (b * t + tt) * d + off;
+                let row = (b * t + tt) * stride + off;
                 let dst = tt * head_dim;
                 scratch.qh[dst..dst + head_dim].copy_from_slice(&q[row..row + head_dim]);
                 scratch.kh[dst..dst + head_dim].copy_from_slice(&k[row..row + head_dim]);
@@ -271,7 +378,180 @@ mod tests {
     use crate::layers::MultiHeadAttention;
     use crate::ops;
     use crate::tensor::Tensor;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use rand::SeedableRng;
+
+    // The pre-rewrite loop bodies, verbatim: the oracles the restructured
+    // sweeps must reproduce bit for bit on every SIMD tier.
+
+    fn layer_norm_oracle(src: &[f32], gamma: &[f32], beta: &[f32], eps: f32, dst: &mut [f32]) {
+        let d = gamma.len();
+        for (row, orow) in src.chunks_exact(d).zip(dst.chunks_exact_mut(d)) {
+            let mu = row.iter().sum::<f32>() / d as f32;
+            let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
+            let rst = 1.0 / (var + eps).sqrt();
+            for j in 0..d {
+                orow[j] = (row[j] - mu) * rst * gamma[j] + beta[j];
+            }
+        }
+    }
+
+    fn gelu_oracle(buf: &mut [f32]) {
+        for o in buf.iter_mut() {
+            *o = gelu_scalar(*o);
+        }
+    }
+
+    /// Same bits — except that any NaN matches any NaN: when two NaN
+    /// operands meet, which payload survives depends on operand order,
+    /// which neither IEEE 754 nor LLVM pins.
+    fn assert_same_bits(got: &[f32], want: &[f32]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            prop_assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "element {i}: {g:e} ({:#010x}) vs {w:e} ({:#010x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+        Ok(())
+    }
+
+    fn special() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            Just(-0.0f32),
+            Just(0.0),
+            Just(f32::INFINITY),
+            Just(f32::NEG_INFINITY),
+            Just(f32::NAN),
+            Just(1.0e-40),  // subnormal
+            Just(-3.0e-42), // subnormal
+            Just(f32::MIN_POSITIVE),
+            Just(f32::MAX),
+            Just(-2.5e37),
+        ]
+    }
+
+    /// `rows × d` values: mostly ordinary, with up to four single special
+    /// values spliced in and up to two whole rows overwritten by one
+    /// special (all `-0.0`, all `inf`, …). `rows` covers `rows % 8 ≠ 0`
+    /// and `d` widths that are no multiple of 4, 8 or 16 lanes.
+    fn matrix() -> impl Strategy<Value = (usize, usize, Vec<f32>)> {
+        let spikes = proptest::collection::vec((any::<usize>(), special()), 0..5);
+        let fills = proptest::collection::vec((any::<usize>(), special()), 0..3);
+        let body = proptest::collection::vec(-6.0f32..6.0, 19 * 70);
+        ((0usize..20, 1usize..71), (spikes, fills), body).prop_map(
+            |((rows, d), (spikes, fills), mut body)| {
+                body.truncate(rows * d);
+                if rows > 0 {
+                    for (at, v) in spikes {
+                        body[at % (rows * d)] = v;
+                    }
+                    for (row, v) in fills {
+                        let r = row % rows;
+                        body[r * d..(r + 1) * d].fill(v);
+                    }
+                }
+                (rows, d, body)
+            },
+        )
+    }
+
+    /// A deterministic parameter vector; every fifth entry is `-0.0`, the
+    /// one addend/factor that lets a wrong zero sign upstream show.
+    fn ramp(n: usize, scale: f32, shift: f32) -> Vec<f32> {
+        (0..n)
+            .map(|i| match i % 5 {
+                4 => -0.0,
+                _ => (i % 13) as f32 * scale + shift,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn layer_norm_equals_scalar_loop_bitwise(
+            m in matrix(),
+            eps in prop_oneof![Just(1e-5f32), Just(0.0)],
+        ) {
+            let (rows, d, src) = m;
+            let (gamma, beta) = (ramp(d, 0.11, 0.4), ramp(d, -0.07, 0.3));
+            let mut want = vec![f32::NAN; rows * d];
+            layer_norm_oracle(&src, &gamma, &beta, eps, &mut want);
+            let mut got = vec![f32::NAN; rows * d];
+            layer_norm_into(&src, &gamma, &beta, eps, &mut got);
+            assert_same_bits(&got, &want)?;
+        }
+
+        #[test]
+        fn gelu_equals_scalar_loop_bitwise(m in matrix()) {
+            let (mut got, mut want) = (m.2.clone(), m.2);
+            gelu_oracle(&mut want);
+            gelu_inplace(&mut got);
+            assert_same_bits(&got, &want)?;
+        }
+    }
+
+    #[test]
+    fn strided_attention_reads_fused_qkv_and_ignores_stale_scratch() {
+        let (b, t, heads, dh) = (3, 5, 2, 3);
+        let d = heads * dh;
+        let qkv: Vec<f32> = (0..b * t * 3 * d)
+            .map(|i| ((i * 31) % 47) as f32 * 0.05 - 1.1)
+            .collect();
+        // The split the plan used to make before sweeping.
+        let split = |s: usize| -> Vec<f32> {
+            qkv.chunks_exact(3 * d)
+                .flat_map(|row| row[s * d..(s + 1) * d].iter().copied())
+                .collect()
+        };
+        let mut want = vec![0.0; b * t * d];
+        let mut scratch = AttnScratch::new(t, dh);
+        attention_sweep(
+            &split(0),
+            &split(1),
+            &split(2),
+            b,
+            t,
+            heads,
+            dh,
+            0.5,
+            &mut want,
+            &mut scratch,
+        );
+        // Same sweep straight off the fused buffer, through a scratch (and
+        // an output) full of NaN: nothing stale may be read.
+        for buf in [
+            &mut scratch.qh,
+            &mut scratch.kh,
+            &mut scratch.vh,
+            &mut scratch.scores,
+            &mut scratch.outh,
+        ] {
+            buf.fill(f32::NAN);
+        }
+        let mut got = vec![f32::NAN; b * t * d];
+        attention_sweep_strided(
+            &qkv,
+            &qkv[d..],
+            &qkv[2 * d..],
+            3 * d,
+            b,
+            t,
+            heads,
+            dh,
+            0.5,
+            &mut got,
+            &mut scratch,
+        );
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits());
+        }
+    }
 
     #[test]
     fn softmax_rows_matches_tape_bitwise() {

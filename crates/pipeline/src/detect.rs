@@ -14,7 +14,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use logsynergy::detector::{InferenceSession, THRESHOLD};
+use logsynergy::detector::THRESHOLD;
+use logsynergy::infer::{InferencePlan, PlanScratch};
 use logsynergy::model::LogSynergyModel;
 use parking_lot::Mutex;
 
@@ -83,12 +84,15 @@ pub trait SequenceScorer: Send {
     }
 }
 
-/// The production scorer: a reusable inference session over a trained
-/// LogSynergy model. The model is shared (`Arc`); each clone forks a
-/// private session (tape + scratch), so every serving worker scores
-/// against the same weights without copying them.
+/// The production f32 scorer: the fused [`InferencePlan`] of a trained
+/// LogSynergy model. The plan (frozen weights) is shared (`Arc`); each
+/// clone owns a private scratch that persists across calls, so every
+/// serving worker scores against the same weights without copying them or
+/// allocating per batch. Scores are bit-identical to the tape's
+/// `Detector::scores`.
 pub struct ModelScorer {
-    session: Mutex<InferenceSession>,
+    plan: Arc<InferencePlan>,
+    scratch: Mutex<PlanScratch>,
 }
 
 impl ModelScorer {
@@ -97,29 +101,32 @@ impl ModelScorer {
         Self::shared(Arc::new(model))
     }
 
-    /// Wraps an already-shared trained model.
+    /// Wraps an already-shared trained model (its serving weights are
+    /// copied into the plan once, here).
     pub fn shared(model: Arc<LogSynergyModel>) -> Self {
-        ModelScorer {
-            session: Mutex::new(InferenceSession::new(model)),
-        }
+        Self::from_plan(Arc::new(InferencePlan::from_model(&model)))
+    }
+
+    fn from_plan(plan: Arc<InferencePlan>) -> Self {
+        let scratch = Mutex::new(plan.scratch());
+        ModelScorer { plan, scratch }
     }
 }
 
 impl Clone for ModelScorer {
     fn clone(&self) -> Self {
-        ModelScorer {
-            session: Mutex::new(self.session.lock().fork()),
-        }
+        Self::from_plan(Arc::clone(&self.plan))
     }
 }
 
 impl SequenceScorer for ModelScorer {
     fn score(&self, events: &[u32], table: &[Vec<f32>]) -> f32 {
-        self.session.lock().score_one(events, table)
+        self.score_batch(&[events], table)[0]
     }
 
     fn score_batch(&self, windows: &[&[u32]], table: &[Vec<f32>]) -> Vec<f32> {
-        self.session.lock().score_windows(windows, table)
+        self.plan
+            .score_windows_with(&mut self.scratch.lock(), windows, table)
     }
 }
 

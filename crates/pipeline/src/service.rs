@@ -203,7 +203,7 @@ impl DetectionPool {
     /// Spawns one detection worker per buffer partition. The vectorizer,
     /// scorer, and sink are cloned once per worker; scorers like
     /// [`crate::detect::ModelScorer`] share the trained weights across
-    /// clones and fork only their private inference session.
+    /// clones and take only a private scratch.
     pub fn spawn<S, K>(
         buffer: &LogBuffer,
         vectorizer: EventVectorizer,
@@ -372,7 +372,7 @@ impl DetectionPool {
 ///
 /// The vectorizer, scorer, and sink are cloned once per worker; scorers
 /// like [`crate::detect::ModelScorer`] share the trained weights across
-/// clones and fork only their private inference session.
+/// clones and take only a private scratch.
 pub fn run_pipeline_with<S, K>(
     source: Vec<RawLog>,
     vectorizer: EventVectorizer,

@@ -13,6 +13,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+echo "==> nn + core suites on the scalar and AVX2 tiers"
+# The run above used the best tier the CPU has. nn::infer's GELU sweep is
+# compiled once per tier (scalar / AVX2 / AVX-512) and must give the same
+# bits on each, and the plan must equal the tape on each: re-run the two
+# suites that hold the bitwise oracles with the tier pinned, so all three
+# dispatch arms are exercised (on a CPU without AVX2 the pin falls back
+# and the pass is a repeat).
+for tier in scalar avx2; do
+  LOGSYNERGY_NN_SIMD="$tier" cargo test -p logsynergy-nn -q
+  LOGSYNERGY_NN_SIMD="$tier" cargo test -p logsynergy -q
+done
+
 echo "==> telemetry off-feature build (instrumentation must compile out)"
 cargo check -p logsynergy-telemetry --no-default-features
 
@@ -98,8 +110,8 @@ LOGSYNERGY_BENCH_QUICK=1 cargo bench --bench fig7_pipeline_throughput
 
 echo "==> quant accuracy + throughput smoke (quick mode)"
 # Quick quant_scoring run: asserts ≥ 99.5% verdict agreement with f32,
-# |ΔF1| ≤ 0.005, and int8 model-tier throughput ≥ 5× the recorded
-# Fig. 7 model-tier rate; refreshes results/quant.json.
+# |ΔF1| ≤ 0.005, and int8 model-tier throughput ≥ 1.3× the f32 plan's
+# measured in the same process; refreshes results/quant.json.
 LOGSYNERGY_BENCH_QUICK=1 cargo bench -p logsynergy-bench --features quant --bench quant_scoring
 
 echo "==> telemetry overhead contract (quick mode)"
@@ -115,6 +127,14 @@ echo "==> group-commit WAL throughput smoke (quick mode)"
 # smoke gate) durable throughput ≥ 0.5× in-memory there; refreshes
 # results/wal_group_commit.json.
 LOGSYNERGY_BENCH_QUICK=1 cargo bench -p logsynergy-bench --bench wal_group_commit
+
+echo "==> socket-to-verdict benchmark smoke (quick mode)"
+# A tenth-size run of benchmark/ (its own workspace and lock file): all
+# three workloads over a real loopback socket, with the harness's
+# correctness gate on — reports bitwise equal to the unbatched in-process
+# reference, six-bucket window conservation, zero failed operations.
+# Quick runs are flagged not comparable; this checks behaviour, not speed.
+cargo run --release --manifest-path benchmark/Cargo.toml -- run --quick
 
 echo "==> metrics snapshot smoke"
 # A real CLI run must produce a parseable JSON snapshot whose verdict-tier

@@ -99,6 +99,13 @@ fn trained_model_serves_live_stream() {
             summary.reports,
             "telemetry report count"
         );
+        // The model tier is the fused plan: its sweep counters tick in
+        // serving, once per encoder block per forward. (Only a lower
+        // bound — other tests in this process share the registry.)
+        assert!(
+            d("nn.fused.attention") >= p.model_config.layers as u64,
+            "serving must score through the fused plan"
+        );
     }
     // Alert volume sanity: reports should be a small fraction of windows
     // (operators are not flooded).
