@@ -6,9 +6,9 @@
 //!
 //! - **max_rate** — feed as fast as the producer accepts. Batch 1 is
 //!   the per-record-flush baseline (one `write(2)`+flush and one
-//!   partition-lock acquisition per record); larger batches amortize
-//!   both through `DurableProducer::send_batch`. The acceptance gate is
-//!   durable@64 ≥ 3× durable@1.
+//!   lane-lock acquisition per record — `Ingest::send_batch` of one);
+//!   larger batches amortize both. The acceptance gate is durable@64 ≥
+//!   3× durable@1 on the bare ack path.
 //! - **fig7_operating_point** — the replay harness's steady schedule at
 //!   speed 16 (the Fig. 7 offered load, ~100k logs/s): both paths must
 //!   sustain it, putting durable-mode throughput within 1.5× of
@@ -22,10 +22,8 @@ use logsynergy::wal::{PartitionWal, WalConfig};
 use logsynergy_bench::{quick_mode, write_result};
 use logsynergy_lei::LeiConfig;
 use logsynergy_loggen::{ReplaySchedule, ReplayShape, SystemId};
-use logsynergy_pipeline::buffer::LogBuffer;
-use logsynergy_pipeline::service::DetectionPool;
 use logsynergy_pipeline::{
-    start_durable, DurablePipeline, EventVectorizer, MemorySink, PipelineConfig, RawLog,
+    start_pipeline, EventVectorizer, MemorySink, PipelineConfig, RawLog, RunningPipeline,
     SequenceScorer, WalOptions,
 };
 use serde::Serialize;
@@ -127,63 +125,27 @@ fn pace(started: Instant, due: Duration) {
     }
 }
 
-/// The in-memory path: plain buffer sends, no durability ack to pay.
-/// The feed is cloned *before* the clock starts — the measurement is
-/// the ack path, not the allocator.
-fn run_in_memory(source: &[RawLog], section: &str, schedule: Option<(ReplaySchedule, u32)>) -> Row {
-    let cfg = config(source.len(), None);
-    let buffer = LogBuffer::new(cfg.partitions, cfg.partition_capacity);
-    let pool = DetectionPool::spawn(&buffer, vectorizer(), TableScorer, MemorySink::new(), &cfg);
-    let producer = buffer.producer();
-    drop(buffer);
-
-    let feed: Vec<RawLog> = source.to_vec();
-    let mut lat: Vec<u64> = Vec::with_capacity(source.len());
-    let started = Instant::now();
-    for (i, log) in feed.into_iter().enumerate() {
-        if let Some((schedule, speed)) = schedule {
-            pace(started, schedule.offset(i, speed));
-        }
-        let t0 = Instant::now();
-        producer.send_to(0, log).expect("in-memory send must land");
-        lat.push(t0.elapsed().as_micros() as u64);
-    }
-    let fed = started.elapsed();
-    drop(producer);
-    let summary = pool.join();
-    assert_eq!(summary.logs, source.len() as u64, "in-memory lost records");
-    lat.sort_unstable();
-    Row {
-        section: section.into(),
-        mode: "in_memory".into(),
-        batch: 1,
-        logs: summary.logs,
-        throughput_logs_per_sec: source.len() as f64 / fed.as_secs_f64(),
-        p50_us: percentile(&lat, 0.50),
-        p95_us: percentile(&lat, 0.95),
-        p99_us: percentile(&lat, 0.99),
-    }
-}
-
-/// The durable path at a given group-commit size. Batch 1 is the
-/// seed's per-record-flush path ([`logsynergy_pipeline::DurableProducer::send`]:
-/// one lock + one `write(2)`+flush + per-record accounting per line);
-/// larger batches go through `send_batch`. A record's ack latency is
-/// its batch's flush time — the client is acknowledged only after the
-/// whole batch is on disk. As above, the feed (and its chunking) is
-/// built before the clock starts.
-fn run_durable(
+/// One run through `start_pipeline` at a given group-commit size — in
+/// memory when `durable` is false, behind a fresh write-ahead log
+/// otherwise. Every chunk goes through `send_batch`; batch 1 is the
+/// per-record-flush path (one lock + one `write(2)`+flush + per-record
+/// accounting per line). A record's ack latency is its batch's flush
+/// time — the client is acknowledged only after the whole batch is on
+/// disk. The feed (and its chunking) is built *before* the clock starts
+/// — the measurement is the ack path, not the allocator.
+fn run_ingest(
     source: &[RawLog],
+    durable: bool,
     batch: usize,
     section: &str,
     schedule: Option<(ReplaySchedule, u32)>,
 ) -> Row {
-    let dir = scratch(&format!("{section}-{batch}"));
-    let durable = start_durable(
+    let dir = durable.then(|| scratch(&format!("{section}-{batch}")));
+    let RunningPipeline { pool, producer, .. } = start_pipeline(
         vectorizer(),
         TableScorer,
         MemorySink::new(),
-        &config(source.len(), Some(dir.clone())),
+        &config(source.len(), dir.clone()),
     )
     .expect("fresh log directory must open");
 
@@ -199,34 +161,26 @@ fn run_durable(
         }
         let n = chunk.len();
         let t0 = Instant::now();
-        if batch == 1 {
-            let log = chunk.into_iter().next().expect("non-empty chunk");
-            durable
-                .producer
-                .send(log)
-                .expect("unfaulted send must land");
-        } else {
-            let sent = durable
-                .producer
-                .send_batch(0, chunk)
-                .expect("unfaulted batch must land");
-            assert_eq!(sent, n);
-        }
+        let sent = producer
+            .send_batch(0, chunk)
+            .expect("unfaulted batch must land");
+        assert_eq!(sent, n);
         let us = t0.elapsed().as_micros() as u64;
         for _ in 0..n {
             lat.push(us);
         }
     }
     let fed = started.elapsed();
-    let DurablePipeline { pool, producer, .. } = durable;
     drop(producer);
     let summary = pool.join();
-    assert_eq!(summary.logs, source.len() as u64, "durable lost records");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(summary.logs, source.len() as u64, "lost records");
+    if let Some(dir) = dir {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
     lat.sort_unstable();
     Row {
         section: section.into(),
-        mode: "durable".into(),
+        mode: if durable { "durable" } else { "in_memory" }.into(),
         batch,
         logs: summary.logs,
         throughput_logs_per_sec: source.len() as f64 / fed.as_secs_f64(),
@@ -317,25 +271,37 @@ fn main() {
     // live. (On a single-core host the workers time-share the feed, so
     // these rows under-state the producer-side gain the wal_ack_path
     // section isolates.)
-    let mem = run_in_memory(&source, "max_rate", None);
+    let mem = run_ingest(&source, false, 1, "max_rate", None);
     print_row(&mem);
     rows.push(mem);
     for batch in [1usize, 16, 64, 256] {
-        let r = run_durable(&source, batch, "max_rate", None);
+        let r = run_ingest(&source, true, batch, "max_rate", None);
         print_row(&r);
         rows.push(r);
     }
 
     // The Fig. 7 operating point: the replay harness's steady schedule
-    // at 16× (the highest offered load replay_latency publishes).
+    // at 16× (~100k logs/s offered).
     let schedule = ReplaySchedule {
         shape: ReplayShape::Steady,
         mean_interarrival: Duration::from_micros(150),
     };
-    let mem_paced = run_in_memory(&source, "fig7_operating_point", Some((schedule, 16)));
+    let mem_paced = run_ingest(
+        &source,
+        false,
+        1,
+        "fig7_operating_point",
+        Some((schedule, 16)),
+    );
     print_row(&mem_paced);
     rows.push(mem_paced);
-    let dur_paced = run_durable(&source, 64, "fig7_operating_point", Some((schedule, 16)));
+    let dur_paced = run_ingest(
+        &source,
+        true,
+        64,
+        "fig7_operating_point",
+        Some((schedule, 16)),
+    );
     print_row(&dur_paced);
     rows.push(dur_paced);
 

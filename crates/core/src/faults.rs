@@ -33,7 +33,7 @@ pub const PANIC_MARKER: &str = "logsynergy-fault-injected";
 
 /// Well-known injection point names used across the workspace.
 pub mod points {
-    /// Producer-side buffer enqueue ([`Producer::send`] in the pipeline).
+    /// Producer-side buffer enqueue (the pipeline shipper, once per record).
     pub const BUFFER_PUSH: &str = "buffer.push";
     /// Worker-side micro-batch drain (`Consumer::recv_batch`).
     pub const BATCH_DRAIN: &str = "batch.drain";

@@ -3,10 +3,8 @@
 //! schedule parameters (no clock, no RNG — two runs of the same
 //! schedule offer records at identical offsets).
 //!
-//! The replay-latency harness (`benches/replay_latency.rs` in the bench
-//! crate) drives the durable pipeline with these schedules at several
-//! speed multipliers and publishes ingest-latency percentiles against
-//! the offered load.
+//! `benchmark/`'s open-loop paced phase and the `wal_group_commit`
+//! bench's Fig. 7 operating point pace their feeds with these schedules.
 
 use std::time::Duration;
 

@@ -1,6 +1,6 @@
 //! The Kafka-stage buffer: bounded, partitioned, backpressuring.
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -31,8 +31,8 @@ pub struct BufferStats {
 }
 
 /// A bounded, partitioned log buffer. Producers block when a partition is
-/// full (backpressure, like a Kafka producer with acks), consumers drain
-/// partitions round-robin.
+/// full (backpressure, like a Kafka producer with acks); each partition is
+/// drained by exactly one consumer.
 pub struct LogBuffer {
     senders: Vec<Sender<RawLog>>,
     receivers: Vec<Receiver<RawLog>>,
@@ -66,28 +66,12 @@ impl LogBuffer {
         self.senders.len()
     }
 
-    fn partition_of(&self, system: &str) -> usize {
-        (system_hash(system) % self.senders.len() as u64) as usize
-    }
-
     /// Producer handle (cheap to clone).
     pub fn producer(&self) -> Producer {
         Producer {
             senders: self.senders.clone(),
             stats: self.stats.clone(),
             depths: self.depths.clone(),
-            router: None,
-        }
-    }
-
-    /// Consumer handle draining all partitions.
-    pub fn consumer(&self) -> Consumer {
-        Consumer {
-            receivers: self.receivers.clone(),
-            stats: self.stats.clone(),
-            depths: self.depths.clone(),
-            parts: (0..self.receivers.len()).collect(),
-            next: 0,
         }
     }
 
@@ -96,11 +80,10 @@ impl LogBuffer {
     /// order is a single-queue property.
     pub fn partition_consumer(&self, partition: usize) -> Consumer {
         Consumer {
-            receivers: vec![self.receivers[partition].clone()],
+            receiver: self.receivers[partition].clone(),
             stats: self.stats.clone(),
             depths: self.depths.clone(),
-            parts: vec![partition],
-            next: 0,
+            partition,
         }
     }
 
@@ -111,52 +94,30 @@ impl LogBuffer {
 
     /// Keyed partition index for a system (exposed for tests).
     pub fn partition_for(&self, system: &str) -> usize {
-        self.partition_of(system)
+        (system_hash(system) % self.senders.len() as u64) as usize
     }
 }
 
-/// Sending side of the buffer.
+/// Sending side of the buffer: the raw channel mechanism. Everything
+/// that decides *whether* a record may enter (backpressure, shedding,
+/// the write-ahead log) lives in [`crate::durable::Ingest`], which owns
+/// the pipeline's only `Producer`.
 pub struct Producer {
     senders: Vec<Sender<RawLog>>,
     stats: Arc<Mutex<BufferStats>>,
     depths: Arc<Vec<AtomicI64>>,
-    router: Option<usize>,
 }
 
 impl Producer {
-    /// Blocking send; partition chosen by the log's system key (same
-    /// system → same partition → per-system ordering, as Kafka gives).
-    ///
-    /// Panics if the buffer is closed; shippers that must survive worker
-    /// loss use [`Producer::try_send`] instead.
-    pub fn send(&self, log: RawLog) {
-        self.try_send(log)
-            .map_err(|(_, e)| e)
-            .expect("buffer closed while producing");
-    }
-
     /// Number of partitions behind this producer.
     pub fn partitions(&self) -> usize {
         self.senders.len()
     }
 
-    /// The partition a system key routes to (ignoring any pin).
+    /// The partition a system key routes to (same system → same
+    /// partition → per-system ordering, as Kafka gives).
     pub fn partition_for(&self, system: &str) -> usize {
         (system_hash(system) % self.senders.len() as u64) as usize
-    }
-
-    /// A clone of this handle pinned to one partition: every send routes
-    /// there regardless of the record's system key. The ingest daemon uses
-    /// pinned handles for fair-share tenant routing (a tenant owns a
-    /// stable partition subset instead of hashing across all shards).
-    pub fn pinned(&self, partition: usize) -> Producer {
-        assert!(partition < self.senders.len());
-        Producer {
-            senders: self.senders.clone(),
-            stats: self.stats.clone(),
-            depths: self.depths.clone(),
-            router: Some(partition),
-        }
     }
 
     /// Logs currently queued in `partition` (telemetry-grade: relaxed
@@ -165,48 +126,13 @@ impl Producer {
         self.depths[partition].load(Ordering::Relaxed).max(0) as u64
     }
 
-    fn route(&self, system: &str) -> usize {
-        match self.router {
-            Some(p) => p,
-            None => (system_hash(system) % self.senders.len() as u64) as usize,
-        }
-    }
-
-    /// Blocking send that reports a closed buffer as a typed error
-    /// instead of panicking, handing the undeliverable record back so
-    /// the caller can retry, persist, or drop it deliberately. The error
-    /// names the partition whose channel rejected the record.
-    pub fn try_send(&self, log: RawLog) -> Result<(), (RawLog, PipelineError)> {
-        let p = self.route(&log.system);
-        match self.senders[p].send(log) {
-            Ok(()) => {}
-            Err(e) => return Err((e.0, PipelineError::BufferClosed { partition: p })),
-        }
-        self.depths[p].fetch_add(1, Ordering::Relaxed);
-        self.stats.lock().enqueued += 1;
-        Ok(())
-    }
-
-    /// Blocking [`Producer::try_send`] with the partition chosen by the
-    /// caller; blocks while the shard is full (backpressure) and reports
-    /// a closed shard as a typed error. Panics if `partition` is out of
-    /// range.
-    pub fn send_to(&self, partition: usize, log: RawLog) -> Result<(), (RawLog, PipelineError)> {
-        match self.senders[partition].send(log) {
-            Ok(()) => {}
-            Err(e) => return Err((e.0, PipelineError::BufferClosed { partition })),
-        }
-        self.depths[partition].fetch_add(1, Ordering::Relaxed);
-        self.stats.lock().enqueued += 1;
-        Ok(())
-    }
-
-    /// Blocking [`Producer::send_to`] for a whole batch — the
-    /// group-commit enqueue path. The channel still takes one send per
-    /// record, but the depth counter and the stats lock are touched
-    /// once per batch instead of once per record. On a closed shard the
-    /// unsent suffix is handed back (records already enqueued are
-    /// accounted).
+    /// Blocking enqueue of a whole batch into a caller-chosen partition;
+    /// blocks while the shard is full (backpressure). The channel takes
+    /// one send per record, but the depth counter and the stats lock are
+    /// touched once per batch. On a closed shard the unsent suffix is
+    /// handed back with [`PipelineError::BufferClosed`] naming the
+    /// partition (records already enqueued are accounted). Panics if
+    /// `partition` is out of range.
     pub fn send_many_to(
         &self,
         partition: usize,
@@ -235,87 +161,28 @@ impl Producer {
             None => Ok(()),
         }
     }
-
-    /// Non-blocking send: enqueues immediately or hands the record back
-    /// with the rejecting partition ([`PipelineError::BufferFull`] under
-    /// backpressure, [`PipelineError::BufferClosed`] when the consumer is
-    /// gone). Network front doors use this to turn a full shard into a
-    /// client-visible backpressure signal instead of a blocked thread.
-    pub fn offer(&self, log: RawLog) -> Result<(), (RawLog, PipelineError)> {
-        self.offer_to(self.route(&log.system), log)
-    }
-
-    /// [`Producer::offer`] with the partition chosen by the caller —
-    /// the fair-share tenant router picks a shard from a tenant's subset
-    /// and offers straight to it without cloning a pinned handle per
-    /// record. Panics if `partition` is out of range.
-    pub fn offer_to(&self, partition: usize, log: RawLog) -> Result<(), (RawLog, PipelineError)> {
-        let p = partition;
-        match self.senders[p].try_send(log) {
-            Ok(()) => {}
-            Err(TrySendError::Full(log)) => {
-                return Err((log, PipelineError::BufferFull { partition: p }))
-            }
-            Err(TrySendError::Disconnected(log)) => {
-                return Err((log, PipelineError::BufferClosed { partition: p }))
-            }
-        }
-        self.depths[p].fetch_add(1, Ordering::Relaxed);
-        self.stats.lock().enqueued += 1;
-        Ok(())
-    }
 }
 
-/// Receiving side of the buffer.
+/// Receiving side of the buffer: one partition, one owner.
 pub struct Consumer {
-    receivers: Vec<Receiver<RawLog>>,
+    receiver: Receiver<RawLog>,
     stats: Arc<Mutex<BufferStats>>,
     depths: Arc<Vec<AtomicI64>>,
-    /// Buffer partition index behind each entry of `receivers`.
-    parts: Vec<usize>,
-    next: usize,
+    partition: usize,
 }
 
 impl Consumer {
-    /// Round-robin receive with a timeout; `None` when every partition is
-    /// empty and all producers are gone or the timeout elapses.
-    pub fn recv(&mut self, timeout: Duration) -> Option<RawLog> {
-        let n = self.receivers.len();
-        // Fast path: try every partition once without blocking.
-        for i in 0..n {
-            let idx = (self.next + i) % n;
-            if let Ok(log) = self.receivers[idx].try_recv() {
-                self.depths[self.parts[idx]].fetch_sub(1, Ordering::Relaxed);
-                self.next = (idx + 1) % n;
-                self.stats.lock().dequeued += 1;
-                return Some(log);
-            }
-        }
-        // Slow path: block on the next partition in line.
-        let idx = self.next % n;
-        match self.receivers[idx].recv_timeout(timeout) {
-            Ok(log) => {
-                self.depths[self.parts[idx]].fetch_sub(1, Ordering::Relaxed);
-                self.next = (idx + 1) % n;
-                self.stats.lock().dequeued += 1;
-                Some(log)
-            }
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
-    }
-
     /// Drains up to `max` logs as one burst, waiting at most `deadline`.
     ///
     /// Returns as soon as `max` logs are in hand; otherwise collects
     /// whatever arrives until the deadline elapses and returns the partial
     /// batch (possibly empty — keep polling). Returns `None` only when
-    /// every partition is drained *and* all producers are gone: the
-    /// definitive end of stream, unlike [`Consumer::recv`]'s
-    /// timeout-conflating `None`. The dequeue counter is updated once per
+    /// the partition is drained *and* all producers are gone: the
+    /// definitive end of stream. The dequeue counter is updated once per
     /// batch — one lock round-trip per burst instead of one per log.
     pub fn recv_batch(&mut self, max: usize, deadline: Duration) -> Option<Vec<RawLog>> {
         // `batch.drain` injection point, consulted before any record is
-        // pulled off a channel so an injected panic can never lose logs
+        // pulled off the channel so an injected panic can never lose logs
         // (the worker's isolation layer re-enters and drains normally).
         match faults::inject(points::BATCH_DRAIN) {
             Some(Fault::Panic) => panic!("{}: batch.drain", faults::PANIC_MARKER),
@@ -323,73 +190,48 @@ impl Consumer {
             Some(Fault::TransientError) => return Some(Vec::new()),
             Some(Fault::CorruptScore) | None => {}
         }
-        let n = self.receivers.len();
         let end = Instant::now() + deadline;
         let mut out = Vec::with_capacity(max.min(1024));
-        let mut disconnected = 0usize;
-        'collect: while out.len() < max {
-            // Sweep every partition without blocking.
-            disconnected = 0;
-            let mut drained = true;
-            for i in 0..n {
-                let idx = (self.next + i) % n;
-                match self.receivers[idx].try_recv() {
-                    Ok(log) => {
-                        self.depths[self.parts[idx]].fetch_sub(1, Ordering::Relaxed);
-                        self.next = (idx + 1) % n;
-                        out.push(log);
-                        drained = false;
-                        if out.len() >= max {
-                            break 'collect;
-                        }
+        let mut closed = false;
+        while out.len() < max {
+            // Take what is queued without blocking; once the shard is
+            // empty, block until the deadline for the next record.
+            let next = match self.receiver.try_recv() {
+                Ok(log) => Ok(log),
+                Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+                Err(TryRecvError::Empty) => {
+                    let now = Instant::now();
+                    if now >= end {
+                        break;
                     }
-                    Err(TryRecvError::Empty) => {}
-                    Err(TryRecvError::Disconnected) => disconnected += 1,
+                    self.receiver.recv_timeout(end - now)
                 }
-            }
-            if disconnected == n {
-                break;
-            }
-            if !drained {
-                continue;
-            }
-            // Everything is empty: block on the next live partition until
-            // the deadline.
-            let now = Instant::now();
-            if now >= end {
-                break;
-            }
-            let idx = self.next % n;
-            match self.receivers[idx].recv_timeout(end - now) {
+            };
+            match next {
                 Ok(log) => {
-                    self.depths[self.parts[idx]].fetch_sub(1, Ordering::Relaxed);
-                    self.next = (idx + 1) % n;
+                    self.depths[self.partition].fetch_sub(1, Ordering::Relaxed);
                     out.push(log);
                 }
                 Err(RecvTimeoutError::Timeout) => break,
                 Err(RecvTimeoutError::Disconnected) => {
-                    // This partition is finished; rotate past it and let
-                    // the sweep decide whether every partition is done.
-                    self.next = (idx + 1) % n;
+                    closed = true;
+                    break;
                 }
             }
         }
-        if out.is_empty() && disconnected == n {
+        if out.is_empty() && closed {
             return None;
         }
         self.stats.lock().dequeued += out.len() as u64;
         Some(out)
     }
 
-    /// Logs currently queued in this consumer's partitions. Producer and
-    /// consumer update the underlying counters independently with relaxed
+    /// Logs currently queued in this consumer's partition. Producer and
+    /// consumer update the underlying counter independently with relaxed
     /// atomics, so a reading can be momentarily stale (a transient negative
     /// is clamped to 0) — fine for a telemetry gauge, not a sync primitive.
     pub fn depth(&self) -> u64 {
-        self.parts
-            .iter()
-            .map(|&p| self.depths[p].load(Ordering::Relaxed).max(0) as u64)
-            .sum()
+        self.depths[self.partition].load(Ordering::Relaxed).max(0) as u64
     }
 }
 
@@ -405,55 +247,68 @@ mod tests {
         }
     }
 
+    /// Enqueues `logs` the way a keyed shipper does: each record into
+    /// the partition its system hashes to, in stream order.
+    fn send_keyed(p: &Producer, logs: impl IntoIterator<Item = RawLog>) {
+        for log in logs {
+            let part = p.partition_for(&log.system);
+            p.send_many_to(part, vec![log]).expect("buffer open");
+        }
+    }
+
+    fn timestamps(batch: &[RawLog]) -> Vec<u64> {
+        batch.iter().map(|l| l.timestamp).collect()
+    }
+
     #[test]
     fn same_system_preserves_order() {
         let buf = LogBuffer::new(4, 64);
         let p = buf.producer();
-        for i in 0..20 {
-            p.send(raw("alpha", i));
-        }
-        let mut c = buf.consumer();
-        let mut seen = Vec::new();
-        while let Some(l) = c.recv(Duration::from_millis(10)) {
-            seen.push(l.timestamp);
-        }
-        assert_eq!(seen, (0..20).collect::<Vec<_>>());
+        send_keyed(&p, (0..20).map(|i| raw("alpha", i)));
+        let mut c = buf.partition_consumer(buf.partition_for("alpha"));
+        let seen = c.recv_batch(64, Duration::from_millis(10)).unwrap();
+        assert_eq!(timestamps(&seen), (0..20).collect::<Vec<_>>());
     }
 
     #[test]
     fn stats_count_both_sides() {
         let buf = LogBuffer::new(2, 16);
         let p = buf.producer();
-        for i in 0..5 {
-            p.send(raw("x", i));
-        }
-        let mut c = buf.consumer();
-        while c.recv(Duration::from_millis(5)).is_some() {}
+        // One batch: the enqueue side is accounted once, for all five.
+        p.send_many_to(1, (0..5).map(|i| raw("x", i)).collect())
+            .unwrap();
+        assert_eq!(p.depth(1), 5);
+        assert_eq!(p.depth(0), 0);
+        let mut c = buf.partition_consumer(1);
+        assert_eq!(c.recv_batch(16, Duration::ZERO).unwrap().len(), 5);
         let s = buf.stats();
         assert_eq!(s.enqueued, 5);
         assert_eq!(s.dequeued, 5);
+        assert_eq!(c.depth(), 0);
     }
 
     #[test]
     fn different_systems_route_to_stable_partitions() {
         let buf = LogBuffer::new(3, 8);
         assert_eq!(buf.partition_for("web"), buf.partition_for("web"));
+        assert_eq!(
+            buf.producer().partition_for("web"),
+            buf.partition_for("web")
+        );
     }
 
     #[test]
     fn recv_batch_returns_partial_batch_on_timeout() {
         let buf = LogBuffer::new(1, 64);
         let p = buf.producer();
-        for i in 0..3 {
-            p.send(raw("x", i));
-        }
-        let mut c = buf.consumer();
+        send_keyed(&p, (0..3).map(|i| raw("x", i)));
+        let mut c = buf.partition_consumer(0);
         // Producer still connected: the deadline, not disconnection, ends
         // the wait, and the partial batch comes back intact and in order.
         let start = Instant::now();
         let batch = c.recv_batch(10, Duration::from_millis(30)).unwrap();
         assert_eq!(
-            batch.iter().map(|l| l.timestamp).collect::<Vec<_>>(),
+            timestamps(&batch),
             vec![0, 1, 2],
             "partial batch must hold everything sent before the deadline"
         );
@@ -472,12 +327,11 @@ mod tests {
 
     #[test]
     fn recv_batch_fills_to_cap_without_waiting() {
-        let buf = LogBuffer::new(2, 64);
+        let buf = LogBuffer::new(1, 64);
         let p = buf.producer();
-        for i in 0..20 {
-            p.send(raw(if i % 2 == 0 { "even" } else { "odd" }, i));
-        }
-        let mut c = buf.consumer();
+        p.send_many_to(0, (0..20).map(|i| raw("x", i)).collect())
+            .unwrap();
+        let mut c = buf.partition_consumer(0);
         let start = Instant::now();
         let batch = c.recv_batch(8, Duration::from_secs(5)).unwrap();
         assert_eq!(batch.len(), 8, "a full queue fills the cap immediately");
@@ -493,9 +347,7 @@ mod tests {
     fn partition_consumer_sees_only_its_shard() {
         let buf = LogBuffer::new(4, 64);
         let p = buf.producer();
-        for i in 0..12 {
-            p.send(raw("alpha", i));
-        }
+        send_keyed(&p, (0..12).map(|i| raw("alpha", i)));
         let home = buf.partition_for("alpha");
         let mut consumers: Vec<Consumer> = (0..4).map(|p| buf.partition_consumer(p)).collect();
         // Drop every sender (producer handle and the buffer's own copies)
@@ -507,7 +359,7 @@ mod tests {
             if part == home {
                 let got = batch.expect("home partition holds the stream");
                 assert_eq!(
-                    got.iter().map(|l| l.timestamp).collect::<Vec<_>>(),
+                    timestamps(&got),
                     (0..12).collect::<Vec<_>>(),
                     "per-system order within the shard"
                 );
@@ -522,40 +374,18 @@ mod tests {
     }
 
     #[test]
-    fn offer_reports_the_rejecting_partition() {
-        let buf = LogBuffer::new(2, 1);
+    fn closed_shard_hands_back_the_unsent_suffix() {
+        let buf = LogBuffer::new(2, 8);
         let p = buf.producer();
-        let pinned = p.pinned(1);
-        pinned.offer(raw("anything", 0)).unwrap();
-        // Partition 1 is at capacity: the non-blocking path hands the
-        // record back and names the shard that back-pressured.
-        let (log, err) = pinned.offer(raw("anything", 1)).unwrap_err();
-        assert_eq!(log.timestamp, 1);
-        assert_eq!(err, PipelineError::BufferFull { partition: 1 });
-        assert_eq!(pinned.depth(1), 1);
-        assert_eq!(pinned.depth(0), 0);
-        // Consumer gone: the same call reports the closed partition.
-        let mut c = buf.partition_consumer(1);
-        assert!(c.recv(Duration::from_millis(10)).is_some());
+        let c = buf.partition_consumer(1);
         drop(c);
         drop(buf);
-        let (_, err) = pinned.offer(raw("anything", 2)).unwrap_err();
+        let (rest, err) = p
+            .send_many_to(1, (0..3).map(|i| raw("x", i)).collect())
+            .unwrap_err();
         assert_eq!(err, PipelineError::BufferClosed { partition: 1 });
-    }
-
-    #[test]
-    fn pinned_producer_overrides_keyed_routing() {
-        let buf = LogBuffer::new(4, 8);
-        let p = buf.producer();
-        let target = (buf.partition_for("alpha") + 1) % 4;
-        let pinned = p.pinned(target);
-        assert_eq!(p.partition_for("alpha"), buf.partition_for("alpha"));
-        pinned.send(raw("alpha", 0));
-        let mut c = buf.partition_consumer(target);
-        assert!(
-            c.recv(Duration::from_millis(10)).is_some(),
-            "pinned send must land in the pinned partition"
-        );
+        assert_eq!(timestamps(&rest), vec![0, 1, 2]);
+        assert_eq!(p.depth(1), 0, "nothing was enqueued, nothing is accounted");
     }
 
     #[test]
@@ -563,15 +393,22 @@ mod tests {
         // Capacity-1 buffer: a second send must wait for the consumer.
         let buf = LogBuffer::new(1, 1);
         let p = buf.producer();
-        let mut c = buf.consumer();
-        p.send(raw("x", 0));
+        let mut c = buf.partition_consumer(0);
+        p.send_many_to(0, vec![raw("x", 0)]).unwrap();
         let handle = std::thread::spawn(move || {
-            p.send(raw("x", 1)); // blocks until the consumer drains one
+            // Blocks until the consumer drains one.
+            p.send_many_to(0, vec![raw("x", 1)]).unwrap();
             "sent"
         });
         std::thread::sleep(Duration::from_millis(20));
-        assert!(c.recv(Duration::from_millis(100)).is_some());
+        assert_eq!(
+            c.recv_batch(1, Duration::from_millis(100)).unwrap().len(),
+            1
+        );
         assert_eq!(handle.join().unwrap(), "sent");
-        assert!(c.recv(Duration::from_millis(100)).is_some());
+        assert_eq!(
+            c.recv_batch(1, Duration::from_millis(100)).unwrap().len(),
+            1
+        );
     }
 }

@@ -274,13 +274,62 @@ pub struct DetectorCheckpoint {
     since_last_window: usize,
     retry_seq: u64,
     dead_letters: usize,
-    model_calls: u64,
-    pattern_hits: u64,
-    cache_hits: u64,
-    degraded: u64,
-    shed: u64,
-    quarantined: u64,
-    retries: u64,
+    counts: TierCounts,
+}
+
+/// One snapshot of the detector's seven verdict-tier counters. The
+/// serving loop takes one before and after each batch (the difference is
+/// the batch's telemetry), commits one in every recovery cursor, and
+/// sums the workers' into the run summary.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct TierCounts {
+    pub(crate) pattern_hits: u64,
+    pub(crate) cache_hits: u64,
+    pub(crate) model_calls: u64,
+    pub(crate) degraded: u64,
+    pub(crate) shed: u64,
+    pub(crate) quarantined: u64,
+    pub(crate) retries: u64,
+}
+
+impl TierCounts {
+    /// Windows resolved: the six buckets every window lands in exactly
+    /// one of (retries are attempts, not windows).
+    pub(crate) fn windows(&self) -> u64 {
+        self.pattern_hits
+            + self.cache_hits
+            + self.model_calls
+            + self.degraded
+            + self.shed
+            + self.quarantined
+    }
+}
+
+impl std::ops::Sub for TierCounts {
+    type Output = TierCounts;
+    fn sub(self, rhs: TierCounts) -> TierCounts {
+        TierCounts {
+            pattern_hits: self.pattern_hits - rhs.pattern_hits,
+            cache_hits: self.cache_hits - rhs.cache_hits,
+            model_calls: self.model_calls - rhs.model_calls,
+            degraded: self.degraded - rhs.degraded,
+            shed: self.shed - rhs.shed,
+            quarantined: self.quarantined - rhs.quarantined,
+            retries: self.retries - rhs.retries,
+        }
+    }
+}
+
+impl std::ops::AddAssign for TierCounts {
+    fn add_assign(&mut self, rhs: TierCounts) {
+        self.pattern_hits += rhs.pattern_hits;
+        self.cache_hits += rhs.cache_hits;
+        self.model_calls += rhs.model_calls;
+        self.degraded += rhs.degraded;
+        self.shed += rhs.shed;
+        self.quarantined += rhs.quarantined;
+        self.retries += rhs.retries;
+    }
 }
 
 impl<S: SequenceScorer> OnlineDetector<S> {
@@ -712,14 +761,33 @@ impl<S: SequenceScorer> OnlineDetector<S> {
             since_last_window: self.since_last_window,
             retry_seq: self.retry_seq,
             dead_letters: self.dead_letters.len(),
-            model_calls: self.model_calls,
+            counts: self.counts(),
+        }
+    }
+
+    /// The seven verdict-tier counters, as one value.
+    pub(crate) fn counts(&self) -> TierCounts {
+        TierCounts {
             pattern_hits: self.pattern_hits,
             cache_hits: self.cache_hits,
+            model_calls: self.model_calls,
             degraded: self.degraded,
             shed: self.shed,
             quarantined: self.quarantined,
             retries: self.retries,
         }
+    }
+
+    /// Overwrites the seven counters (checkpoint rollback, and a durable
+    /// worker resuming from its recovered cursor).
+    pub(crate) fn set_counts(&mut self, c: TierCounts) {
+        self.pattern_hits = c.pattern_hits;
+        self.cache_hits = c.cache_hits;
+        self.model_calls = c.model_calls;
+        self.degraded = c.degraded;
+        self.shed = c.shed;
+        self.quarantined = c.quarantined;
+        self.retries = c.retries;
     }
 
     /// Rolls the detector back to a [`DetectorCheckpoint`] after a
@@ -730,13 +798,7 @@ impl<S: SequenceScorer> OnlineDetector<S> {
         self.since_last_window = cp.since_last_window;
         self.retry_seq = cp.retry_seq;
         self.dead_letters.truncate(cp.dead_letters);
-        self.model_calls = cp.model_calls;
-        self.pattern_hits = cp.pattern_hits;
-        self.cache_hits = cp.cache_hits;
-        self.degraded = cp.degraded;
-        self.shed = cp.shed;
-        self.quarantined = cp.quarantined;
-        self.retries = cp.retries;
+        self.set_counts(cp.counts);
     }
 
     /// Consumes a batch that exhausted its panic-retry budget: windows

@@ -1,10 +1,13 @@
-//! Durable log transport: a segmented write-ahead log between ingest and
-//! the partitioned buffer, with exactly-once crash recovery.
+//! The way into the pipeline: [`start_pipeline`] and the [`Ingest`] handle
+//! it returns, with an optional segmented write-ahead log between ingest
+//! and the partitioned buffer for exactly-once crash recovery.
 //!
-//! In the default (in-memory) pipeline, a record acknowledged to the
-//! producer lives only in a channel; a process kill loses everything
-//! queued and every half-filled window. Durable mode interposes one
-//! [`PartitionWal`] per buffer partition:
+//! There is one start and one producing handle. What
+//! [`PipelineConfig::wal`] switches is whether a log sits behind each
+//! partition lane: with `None`, a record acknowledged to the producer
+//! lives only in a channel, and a process kill loses everything queued
+//! and every half-filled window. With `Some`, one [`PartitionWal`] per
+//! buffer partition is interposed:
 //!
 //! ```text
 //!   producer ──▶ WAL append + flush ──▶ buffer partition ──▶ worker
@@ -12,15 +15,15 @@
 //!                      └── seg-XXXX.wal          cursor.log ◀──┘ commit
 //! ```
 //!
-//! - **Append before ack**: [`DurableProducer`] appends and flushes the
-//!   record to the partition's segment file *before* enqueuing it, under
-//!   one per-partition lock — so WAL order is exactly buffer order, and
-//!   an acknowledged record survives a process kill.
+//! - **Append before ack**: [`Ingest`] appends and flushes the batch to
+//!   the partition's segment file *before* enqueuing it, under one
+//!   per-partition lock — so WAL order is exactly buffer order, and an
+//!   acknowledged record survives a process kill.
 //! - **Commit after account**: each detection worker commits a
 //!   [`CursorState`] to its partition's cursor log after every batch —
 //!   the next sequence number, the window assembler's fill, the six-tier
 //!   verdict counters, and the reports delivered so far.
-//! - **Replay on restart**: [`start_durable`] recovers each partition,
+//! - **Replay on restart**: [`start_pipeline`] recovers each partition,
 //!   re-primes the window assembler with the records the cursor says
 //!   were buffered (context — *not* re-counted), and replays every
 //!   unacked record through the buffer before any live traffic, with the
@@ -55,7 +58,7 @@ use crate::service::{DetectionPool, PipelineConfig};
 use crate::vectorizer::EventVectorizer;
 
 /// Where and how the pipeline keeps its write-ahead log. Stored in
-/// [`PipelineConfig::wal`]; `None` keeps the classic in-memory path.
+/// [`PipelineConfig::wal`]; `None` leaves the partition lanes in memory.
 #[derive(Clone, Debug)]
 pub struct WalOptions {
     /// Root directory; each partition owns the subdirectory `p{index}`.
@@ -106,18 +109,22 @@ pub(crate) struct DurableWorkerInit {
     pub(crate) ack_horizon: Arc<AtomicU64>,
 }
 
-/// The producing side of durable mode: appends to the partition's WAL
-/// (flushing before the ack), then enqueues into the buffer — both under
-/// one per-partition lock, so WAL order is exactly buffer order and the
-/// sequence numbers workers assign by arrival match the WAL's.
-pub struct DurableProducer {
+/// The pipeline's one producing handle. Each buffer partition has a
+/// *lane*: a lock, and behind it either a [`PartitionWal`] or nothing
+/// (in-memory). Every enqueue is one algorithm — lock the lane, work
+/// out what fits, append the batch to the log if there is one, enqueue —
+/// and a single record is a batch of one.
+pub struct Ingest {
     inner: Producer,
-    parts: Arc<Vec<Mutex<PartitionWal>>>,
+    lanes: Vec<Mutex<Option<PartitionWal>>>,
     capacity: usize,
 }
 
-impl DurableProducer {
-    /// Number of partitions behind this producer.
+/// What did not land, in order, and why.
+type Refusal = (Vec<RawLog>, PipelineError);
+
+impl Ingest {
+    /// Number of partitions behind this handle.
     pub fn partitions(&self) -> usize {
         self.inner.partitions()
     }
@@ -132,199 +139,160 @@ impl DurableProducer {
         self.inner.depth(partition)
     }
 
-    /// Durable blocking send, partition chosen by the system key.
+    /// Blocking send of one record, partition chosen by the system key:
+    /// [`Ingest::send_batch`] of one.
     pub fn send(&self, log: RawLog) -> Result<(), (RawLog, PipelineError)> {
-        let p = self.inner.partition_for(&log.system);
-        self.send_to(p, log)
-    }
-
-    /// Durable blocking send to a caller-chosen partition: the record is
-    /// appended and flushed to the partition's WAL, then enqueued. An
-    /// append failure hands the record back as a transient
-    /// [`PipelineError::WalAppend`] — nothing was made durable. A closed
-    /// buffer after a successful append returns `Ok`: the record is
-    /// parked in the log and will be replayed on the next start.
-    pub fn send_to(&self, partition: usize, log: RawLog) -> Result<(), (RawLog, PipelineError)> {
-        let mut wal = self.parts[partition].lock();
-        self.append_and_enqueue(&mut wal, partition, log)
-    }
-
-    /// Durable send with a backpressure check *before* the append: a
-    /// partition already holding `partition_capacity` queued records
-    /// refuses with [`PipelineError::BufferFull`] (the record untouched,
-    /// free to shed), because once appended a record is acked-durable
-    /// and can no longer be refused.
-    ///
-    /// The depth check happens under the partition lock — every durable
-    /// enqueue holds it, so concurrent offers serialize on the check and
-    /// cannot all pass the watermark and then stack up blocking on a
-    /// full shard (workers draining concurrently only free space).
-    pub fn offer_to(&self, partition: usize, log: RawLog) -> Result<(), (RawLog, PipelineError)> {
-        let mut wal = self.parts[partition].lock();
-        if self.inner.depth(partition) >= self.capacity as u64 {
-            return Err((log, PipelineError::BufferFull { partition }));
+        let partition = self.inner.partition_for(&log.system);
+        match self.send_batch(partition, vec![log]) {
+            Ok(_) => Ok(()),
+            Err((mut rest, e)) => Err((rest.pop().expect("a refused batch of one"), e)),
         }
-        self.append_and_enqueue(&mut wal, partition, log)
     }
 
-    /// Durable blocking group commit: the whole batch is appended with
-    /// one [`PartitionWal::append_batch`] (one write+flush per segment
-    /// touched, not one per record) and enqueued, all under a single
-    /// partition-lock acquisition. Returns the number of records made
-    /// durable — the full batch on `Ok`.
+    /// Blocking group commit to a caller-chosen partition: the whole
+    /// batch is appended with one [`PartitionWal::append_batch`] (one
+    /// write+flush per segment touched, not one per record) when the
+    /// lane has a log, and enqueued, all under a single lane-lock
+    /// acquisition; a full shard blocks (backpressure). Returns the
+    /// number of records that landed — the full batch on `Ok`.
     ///
     /// On a mid-batch append failure the durably-flushed prefix is
     /// *still enqueued* (WAL order must equal buffer order — workers
     /// assign sequence numbers by arrival, so skipping a durable record
     /// would desynchronize every seq after it) and the unwritten suffix
-    /// is handed back with a retryable
-    /// [`PipelineError::WalAppend`] — retrying it re-assigns the same
-    /// sequence numbers. As with [`DurableProducer::send_to`], a closed
-    /// buffer after a successful append is `Ok`: the records are parked
-    /// in the log and replayed on the next start.
-    pub fn send_batch(
-        &self,
-        partition: usize,
-        logs: Vec<RawLog>,
-    ) -> Result<usize, (Vec<RawLog>, PipelineError)> {
-        if logs.is_empty() {
-            return Ok(0);
-        }
-        let mut wal = self.parts[partition].lock();
-        self.append_and_enqueue_batch(&mut wal, partition, logs)
+    /// is handed back with a retryable [`PipelineError::WalAppend`] —
+    /// retrying it re-assigns the same sequence numbers. A closed buffer
+    /// after a successful append is `Ok`: the records are parked in the
+    /// log and replayed on the next start. With no log behind the lane a
+    /// closed buffer hands the unsent suffix back as
+    /// [`PipelineError::BufferClosed`].
+    pub fn send_batch(&self, partition: usize, logs: Vec<RawLog>) -> Result<usize, Refusal> {
+        self.land(partition, logs, true)
     }
 
-    /// [`DurableProducer::send_batch`] with the backpressure check of
-    /// [`DurableProducer::offer_to`], still under one lock acquisition:
-    /// the queue depth is read while holding the partition lock (every
-    /// durable enqueue holds it, so concurrent offers serialize on the
-    /// check), and only the records that fit under
-    /// `partition_capacity` are appended — a refused record was never
-    /// made durable and is free to shed. `Err` hands back the untouched
-    /// suffix: on [`PipelineError::BufferFull`] the accepted prefix
-    /// (`batch_len - suffix_len`) is durable and enqueued; on
+    /// [`Ingest::send_batch`] that never blocks on a full shard: the
+    /// queue depth is read while holding the lane lock (every enqueue
+    /// holds it, so concurrent offers serialize on the check and cannot
+    /// all pass it and then stack up blocking on a full shard — workers
+    /// draining concurrently only free space), and only the records that
+    /// fit under `partition_capacity` are appended — a refused record
+    /// was never made durable and is free to shed. `Err` hands back the
+    /// untouched suffix: on [`PipelineError::BufferFull`] the accepted
+    /// prefix (`batch_len - suffix_len`) is durable and enqueued; on
     /// [`PipelineError::WalAppend`] likewise, with the suffix free to
     /// retry.
-    pub fn offer_batch(
+    pub fn offer_batch(&self, partition: usize, logs: Vec<RawLog>) -> Result<usize, Refusal> {
+        self.land(partition, logs, false)
+    }
+
+    fn land(
         &self,
         partition: usize,
         mut logs: Vec<RawLog>,
-    ) -> Result<usize, (Vec<RawLog>, PipelineError)> {
-        if logs.is_empty() {
-            return Ok(0);
-        }
-        let mut wal = self.parts[partition].lock();
-        let depth = self.inner.depth(partition);
-        let room = (self.capacity as u64).saturating_sub(depth) as usize;
-        if room == 0 {
-            return Err((logs, PipelineError::BufferFull { partition }));
-        }
-        if room >= logs.len() {
-            return self.append_and_enqueue_batch(&mut wal, partition, logs);
-        }
-        let overflow = logs.split_off(room);
-        match self.append_and_enqueue_batch(&mut wal, partition, logs) {
-            Ok(_) => Err((overflow, PipelineError::BufferFull { partition })),
-            Err((mut unappended, e)) => {
-                unappended.extend(overflow);
-                Err((unappended, e))
+        may_block: bool,
+    ) -> Result<usize, Refusal> {
+        let mut lane = self.lanes[partition].lock();
+        let mut refusal: Option<Refusal> = None;
+        // Refuse *before* any append: once appended a record is
+        // acked-durable and can no longer be refused.
+        if !may_block {
+            let room = (self.capacity as u64).saturating_sub(self.inner.depth(partition)) as usize;
+            if room < logs.len() {
+                let overflow = logs.split_off(room);
+                refusal = Some((overflow, PipelineError::BufferFull { partition }));
             }
         }
-    }
-
-    fn append_and_enqueue_batch(
-        &self,
-        wal: &mut PartitionWal,
-        partition: usize,
-        mut logs: Vec<RawLog>,
-    ) -> Result<usize, (Vec<RawLog>, PipelineError)> {
-        let entries: Vec<(&str, u64, &str)> = logs
-            .iter()
-            .map(|l| (l.system.as_str(), l.timestamp, l.message.as_str()))
-            .collect();
-        let start = wal.next_seq();
-        let failed = wal.append_batch(&entries).is_err();
-        // On failure the WAL advanced `next_seq` only past the chunks it
-        // durably flushed; that prefix must be enqueued regardless.
-        let landed = (wal.next_seq() - start) as usize;
-        drop(entries);
-        let suffix = logs.split_off(landed);
-        // A closed buffer is fine: the records are durable — parked in
-        // the log for replay on the next start — and the ack is the WAL.
-        let _ = self.inner.send_many_to(partition, logs);
-        if failed {
-            Err((suffix, PipelineError::WalAppend { partition }))
-        } else {
-            Ok(landed)
+        if let Some(wal) = lane.as_mut().filter(|_| !logs.is_empty()) {
+            let entries: Vec<(&str, u64, &str)> = logs
+                .iter()
+                .map(|l| (l.system.as_str(), l.timestamp, l.message.as_str()))
+                .collect();
+            let start = wal.next_seq();
+            let failed = wal.append_batch(&entries).is_err();
+            // On failure the WAL advanced `next_seq` only past the chunks
+            // it durably flushed; that prefix must be enqueued regardless.
+            let durable = (wal.next_seq() - start) as usize;
+            drop(entries);
+            if failed {
+                let unappended = logs.split_off(durable);
+                refuse(
+                    &mut refusal,
+                    unappended,
+                    PipelineError::WalAppend { partition },
+                );
+            }
         }
-    }
-
-    fn append_and_enqueue(
-        &self,
-        wal: &mut PartitionWal,
-        partition: usize,
-        log: RawLog,
-    ) -> Result<(), (RawLog, PipelineError)> {
-        if wal
-            .append(&log.system, log.timestamp, &log.message)
-            .is_err()
-        {
-            return Err((log, PipelineError::WalAppend { partition }));
+        // The enqueue stays under the lane lock, so records reach the
+        // buffer in append order (worker sequence numbers follow arrival).
+        let mut landed = logs.len();
+        if let Err((unsent, e)) = self.inner.send_many_to(partition, logs) {
+            // A closed buffer behind a log is fine: the records are
+            // durable — parked for replay on the next start — and the
+            // ack is the WAL. With no log they are simply not ingested.
+            if lane.is_none() {
+                landed -= unsent.len();
+                refuse(&mut refusal, unsent, e);
+            }
         }
-        // Appended and flushed: the record is durable and *must* reach
-        // the buffer in append order (worker sequence numbers follow
-        // arrival). The send stays under the partition lock; a closed
-        // buffer parks the record for replay instead of failing the ack.
-        let _ = self.inner.send_to(partition, log);
-        Ok(())
+        match refusal {
+            Some(refusal) => Err(refusal),
+            None => Ok(landed),
+        }
     }
 }
 
-/// A durable pipeline, started: the detection pool (join it for the
-/// summary), the producing handle, and how many unacked records the
-/// start replayed from the log before accepting live traffic.
-pub struct DurablePipeline {
-    /// The per-partition detection workers, committing cursors as they
-    /// account batches.
+/// Puts `head` (refused for `why`) in front of whatever was already
+/// refused, keeping the handed-back records in batch order.
+fn refuse(refusal: &mut Option<Refusal>, mut head: Vec<RawLog>, why: PipelineError) {
+    if let Some((tail, _)) = refusal.take() {
+        head.extend(tail);
+    }
+    *refusal = Some((head, why));
+}
+
+/// A started pipeline: the detection pool (join it for the summary), the
+/// producing handle, and how many unacked records the start replayed
+/// from the log before accepting live traffic.
+pub struct RunningPipeline {
+    /// The per-partition detection workers.
     pub pool: DetectionPool,
-    /// The WAL-backed producer handle. Dropping it (and any clones of
-    /// the replay path's internal handle) ends the stream.
-    pub producer: DurableProducer,
-    /// Unacked records replayed from the log at start.
+    /// The pipeline's only producing handle. Dropping it ends the
+    /// stream.
+    pub producer: Ingest,
+    /// Unacked records replayed from the log at start (0 in memory).
     pub replayed: u64,
 }
 
-/// Opens (or recovers) the write-ahead log under
-/// [`PipelineConfig::wal`], spawns the detection pool with durable
-/// cursor commits, replays every unacked record in order, and returns
-/// the producing handle. Requires `config.wal` to be set.
+/// Starts the pipeline: builds the partitioned buffer, spawns one
+/// detection worker per partition, and returns the producing handle.
+/// When [`PipelineConfig::wal`] is set it first opens (or recovers) the
+/// write-ahead log under it, resumes the workers from their committed
+/// cursors, and replays every unacked record in order.
 ///
 /// Recovery is exactly-once with respect to window accounting: records
 /// the last committed cursor covered are either skipped (fully
 /// accounted) or re-primed as assembler context (buffered, not yet
 /// windowed — not re-counted); records past the cursor are re-processed
 /// with their original sequence numbers.
-pub fn start_durable<S, K>(
+pub fn start_pipeline<S, K>(
     vectorizer: EventVectorizer,
     scorer: S,
     sink: K,
     config: &PipelineConfig,
-) -> Result<DurablePipeline, WalError>
+) -> Result<RunningPipeline, WalError>
 where
     S: SequenceScorer + Clone + 'static,
     K: ReportSink + Clone + 'static,
 {
-    let opts = config
-        .wal
-        .as_ref()
-        .expect("start_durable requires PipelineConfig::wal");
-    let tele = telemetry::global().scoped("wal");
-    let c_replayed = tele.counter("replayed");
-
-    let mut parts = Vec::with_capacity(config.partitions);
+    let mut lanes = Vec::with_capacity(config.partitions);
     let mut inits = Vec::with_capacity(config.partitions);
     let mut replays = Vec::with_capacity(config.partitions);
     for p in 0..config.partitions {
+        let Some(opts) = &config.wal else {
+            lanes.push(Mutex::new(None));
+            inits.push(None);
+            continue;
+        };
         let dir = opts.partition_dir(p);
         std::fs::create_dir_all(&dir).map_err(WalError::from)?;
         let (wal, recovered) = PartitionWal::open(&dir, opts.wal_config())?;
@@ -334,18 +302,18 @@ where
             .iter()
             .map(|rec| structured(&rec.system, rec.timestamp, &rec.message, rec.seq))
             .collect();
-        inits.push(DurableWorkerInit {
+        inits.push(Some(DurableWorkerInit {
             cursor: recovered.cursor,
             context,
             committer,
             ack_horizon: wal.ack_horizon(),
-        });
-        replays.push(recovered.replay);
-        parts.push(Mutex::new(wal));
+        }));
+        replays.push((p, recovered.replay));
+        lanes.push(Mutex::new(Some(wal)));
     }
 
     let buffer = LogBuffer::new(config.partitions, config.partition_capacity);
-    let pool = DetectionPool::spawn_durable(&buffer, vectorizer, scorer, sink, config, inits);
+    let pool = DetectionPool::spawn(&buffer, vectorizer, scorer, sink, config, inits);
     let inner = buffer.producer();
     drop(buffer); // `inner` is now the only sender
 
@@ -354,28 +322,36 @@ where
     // make progress even past the partition capacity, and every replayed
     // record precedes any live one — preserving WAL order end to end.
     let mut replayed = 0u64;
-    for (p, records) in replays.into_iter().enumerate() {
-        for rec in records {
-            let raw = RawLog {
+    for (p, records) in replays {
+        let n = records.len();
+        let logs = records
+            .into_iter()
+            .map(|rec| RawLog {
                 system: rec.system,
                 timestamp: rec.timestamp,
                 message: rec.message,
-            };
-            // A worker that dies mid-replay closes the shard; the rest
-            // of the records stay parked in the log for the next start.
-            if inner.send_to(p, raw).is_err() {
-                break;
-            }
-            replayed += 1;
-        }
+            })
+            .collect();
+        // A worker that dies mid-replay closes the shard; the rest of
+        // the records stay parked in the log for the next start.
+        let unsent = inner
+            .send_many_to(p, logs)
+            .err()
+            .map_or(0, |(rest, _)| rest.len());
+        replayed += (n - unsent) as u64;
     }
-    c_replayed.add(replayed);
+    if config.wal.is_some() {
+        telemetry::global()
+            .scoped("wal")
+            .counter("replayed")
+            .add(replayed);
+    }
 
-    Ok(DurablePipeline {
+    Ok(RunningPipeline {
         pool,
-        producer: DurableProducer {
+        producer: Ingest {
             inner,
-            parts: Arc::new(parts),
+            lanes,
             capacity: config.partition_capacity,
         },
         replayed,
@@ -396,13 +372,67 @@ fn structured(system: &str, timestamp: u64, message: &str, seq: u64) -> Structur
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::Consumer;
     use logsynergy::wal::recover_partition;
+    use proptest::prelude::*;
     use std::path::Path;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("lswal-durable-{tag}-{}", std::process::id()));
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("lswal-durable-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// An ingest handle over a fresh one-partition buffer `capacity`
+    /// deep — with a log at `dir/p0` behind the lane when `dir` is given,
+    /// in memory otherwise — and the partition's consumer.
+    fn lane(dir: Option<&Path>, capacity: usize) -> (Ingest, Consumer) {
+        let wal = dir.map(|dir| {
+            std::fs::create_dir_all(dir.join("p0")).unwrap();
+            PartitionWal::open(&dir.join("p0"), WalConfig::default())
+                .unwrap()
+                .0
+        });
+        let buffer = LogBuffer::new(1, capacity);
+        let producer = Ingest {
+            inner: buffer.producer(),
+            lanes: vec![Mutex::new(wal)],
+            capacity,
+        };
+        (producer, buffer.partition_consumer(0))
+    }
+
+    /// Runs `check` against both lanes: in memory (`None`) and behind a
+    /// log rooted at a scratch directory.
+    fn for_both_lanes(tag: &str, check: impl Fn(Option<&Path>)) {
+        check(None);
+        let dir = scratch(tag);
+        check(Some(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn logs(range: std::ops::Range<u64>) -> Vec<RawLog> {
+        range
+            .map(|i| RawLog {
+                system: "web".into(),
+                timestamp: i,
+                message: format!("m{i}"),
+            })
+            .collect()
+    }
+
+    fn timestamps(logs: &[RawLog]) -> Vec<u64> {
+        logs.iter().map(|l| l.timestamp).collect()
+    }
+
+    /// Sequence numbers of what the log at `dir/p0` holds.
+    fn durable_seqs(dir: &Path) -> Vec<u64> {
+        let r = recover_partition(&dir.join("p0")).unwrap();
+        r.replay.iter().map(|rec| rec.seq).collect()
     }
 
     #[test]
@@ -422,139 +452,152 @@ mod tests {
 
     #[test]
     fn producer_appends_before_enqueue_and_parks_on_closed_buffer() {
-        let dir = scratch("park");
-        std::fs::create_dir_all(dir.join("p0")).unwrap();
-        let (wal, _) = PartitionWal::open(&dir.join("p0"), WalConfig::default()).unwrap();
-        let buffer = LogBuffer::new(1, 4);
-        let producer = DurableProducer {
-            inner: buffer.producer(),
-            parts: Arc::new(vec![Mutex::new(wal)]),
-            capacity: 4,
-        };
-        let mut consumer = buffer.partition_consumer(0);
-        drop(buffer);
-        let log = RawLog {
-            system: "web".into(),
-            timestamp: 1,
-            message: "hello".into(),
-        };
-        producer.send(log.clone()).unwrap();
-        let got = consumer
-            .recv_batch(8, Duration::from_millis(50))
-            .expect("record must be enqueued");
-        assert_eq!(got.len(), 1);
-        // Close the buffer: the append still succeeds (the ack is the
-        // WAL), and the record is parked for replay.
-        drop(consumer);
-        producer.send(log).unwrap();
-        drop(producer);
-        let r = recover_partition(&dir.join("p0")).unwrap();
-        assert_eq!(r.replay.len(), 2, "both records are durable");
-        assert_eq!(r.replay[1].seq, 1);
-        let _ = std::fs::remove_dir_all(&dir);
+        for_both_lanes("park", |dir| {
+            let (producer, mut consumer) = lane(dir, 4);
+            let log = logs(1..2).pop().unwrap();
+            producer.send(log.clone()).unwrap();
+            let got = consumer
+                .recv_batch(8, Duration::from_millis(50))
+                .expect("record must be enqueued");
+            assert_eq!(got.len(), 1);
+            // Close the buffer. Behind a log the append still succeeds
+            // (the ack is the WAL) and the record is parked for replay;
+            // in memory there is nowhere to park it, so it comes back.
+            drop(consumer);
+            let sent = producer.send(log);
+            drop(producer);
+            match dir {
+                Some(dir) => {
+                    sent.unwrap();
+                    assert_eq!(durable_seqs(dir), vec![0, 1], "both records are durable");
+                }
+                None => {
+                    let (returned, err) = sent.unwrap_err();
+                    assert_eq!(err, PipelineError::BufferClosed { partition: 0 });
+                    assert_eq!(returned.timestamp, 1, "the record comes back intact");
+                }
+            }
+        });
     }
 
     #[test]
     fn offer_refuses_before_appending_when_the_shard_is_full() {
-        let dir = scratch("offer");
-        std::fs::create_dir_all(dir.join("p0")).unwrap();
-        let (wal, _) = PartitionWal::open(&dir.join("p0"), WalConfig::default()).unwrap();
-        let buffer = LogBuffer::new(1, 2);
-        let producer = DurableProducer {
-            inner: buffer.producer(),
-            parts: Arc::new(vec![Mutex::new(wal)]),
-            capacity: 2,
-        };
-        let log = |i: u64| RawLog {
-            system: "web".into(),
-            timestamp: i,
-            message: format!("m{i}"),
-        };
-        producer.offer_to(0, log(0)).unwrap();
-        producer.offer_to(0, log(1)).unwrap();
-        let (rejected, err) = producer.offer_to(0, log(2)).unwrap_err();
-        assert_eq!(err, PipelineError::BufferFull { partition: 0 });
-        assert_eq!(rejected.timestamp, 2);
-        drop(producer);
-        let r = recover_partition(&dir.join("p0")).unwrap();
-        assert_eq!(r.replay.len(), 2, "the refused record was never appended");
-        let _ = std::fs::remove_dir_all(&dir);
+        for_both_lanes("offer", |dir| {
+            let (producer, _consumer) = lane(dir, 2);
+            assert_eq!(producer.offer_batch(0, logs(0..1)).unwrap(), 1);
+            assert_eq!(producer.offer_batch(0, logs(1..2)).unwrap(), 1);
+            let (rejected, err) = producer.offer_batch(0, logs(2..3)).unwrap_err();
+            assert_eq!(err, PipelineError::BufferFull { partition: 0 });
+            assert_eq!(timestamps(&rejected), vec![2]);
+            assert_eq!(producer.depth(0), 2);
+            drop(producer);
+            if let Some(dir) = dir {
+                assert_eq!(
+                    durable_seqs(dir),
+                    vec![0, 1],
+                    "the refused record was never appended"
+                );
+            }
+        });
     }
 
     #[test]
     fn send_batch_preserves_buffer_order_and_durability() {
-        let dir = scratch("sendbatch");
-        std::fs::create_dir_all(dir.join("p0")).unwrap();
-        let (wal, _) = PartitionWal::open(&dir.join("p0"), WalConfig::default()).unwrap();
-        let buffer = LogBuffer::new(1, 64);
-        let producer = DurableProducer {
-            inner: buffer.producer(),
-            parts: Arc::new(vec![Mutex::new(wal)]),
-            capacity: 64,
-        };
-        let mut consumer = buffer.partition_consumer(0);
-        drop(buffer);
-        let logs: Vec<RawLog> = (0..10)
-            .map(|i| RawLog {
-                system: "web".into(),
-                timestamp: i,
-                message: format!("m{i}"),
-            })
-            .collect();
-        assert_eq!(producer.send_batch(0, logs).unwrap(), 10);
-        let got = consumer
-            .recv_batch(32, Duration::from_millis(50))
-            .expect("batch must be enqueued");
-        assert_eq!(got.len(), 10);
-        for (i, log) in got.iter().enumerate() {
-            assert_eq!(log.timestamp, i as u64, "buffer order == batch order");
-        }
-        drop(consumer);
-        drop(producer);
-        let r = recover_partition(&dir.join("p0")).unwrap();
-        assert_eq!(r.replay.len(), 10, "every record in the batch is durable");
-        for (i, rec) in r.replay.iter().enumerate() {
-            assert_eq!(rec.seq, i as u64, "WAL order == batch order");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        for_both_lanes("sendbatch", |dir| {
+            let (producer, mut consumer) = lane(dir, 64);
+            assert_eq!(producer.send_batch(0, logs(0..10)).unwrap(), 10);
+            assert_eq!(producer.send_batch(0, Vec::new()).unwrap(), 0);
+            let got = consumer
+                .recv_batch(32, Duration::from_millis(50))
+                .expect("batch must be enqueued");
+            assert_eq!(
+                timestamps(&got),
+                (0..10).collect::<Vec<_>>(),
+                "buffer order == batch order"
+            );
+            drop(consumer);
+            drop(producer);
+            if let Some(dir) = dir {
+                assert_eq!(
+                    durable_seqs(dir),
+                    (0..10).collect::<Vec<_>>(),
+                    "every record in the batch is durable, WAL order == batch order"
+                );
+            }
+        });
     }
 
     #[test]
     fn offer_batch_accepts_the_fitting_prefix_and_returns_the_rest() {
-        let dir = scratch("offerbatch");
-        std::fs::create_dir_all(dir.join("p0")).unwrap();
-        let (wal, _) = PartitionWal::open(&dir.join("p0"), WalConfig::default()).unwrap();
-        let buffer = LogBuffer::new(1, 4);
-        let producer = DurableProducer {
-            inner: buffer.producer(),
-            parts: Arc::new(vec![Mutex::new(wal)]),
-            capacity: 4,
-        };
-        let _consumer = buffer.partition_consumer(0);
-        drop(buffer);
-        let logs = |range: std::ops::Range<u64>| -> Vec<RawLog> {
-            range
-                .map(|i| RawLog {
-                    system: "web".into(),
-                    timestamp: i,
-                    message: format!("m{i}"),
-                })
-                .collect()
-        };
-        // 6 offered into a 4-deep shard: 4 land, 2 come back untouched.
-        let (rest, err) = producer.offer_batch(0, logs(0..6)).unwrap_err();
-        assert_eq!(err, PipelineError::BufferFull { partition: 0 });
-        assert_eq!(rest.len(), 2);
-        assert_eq!(rest[0].timestamp, 4, "the suffix is handed back in order");
-        assert_eq!(rest[1].timestamp, 5);
-        // Shard now full: the whole batch bounces, nothing is appended.
-        let (rest, err) = producer.offer_batch(0, logs(6..8)).unwrap_err();
-        assert_eq!(err, PipelineError::BufferFull { partition: 0 });
-        assert_eq!(rest.len(), 2);
-        drop(producer);
-        let r = recover_partition(&dir.join("p0")).unwrap();
-        assert_eq!(r.replay.len(), 4, "only the accepted prefix is durable");
-        assert_eq!(r.replay.last().unwrap().seq, 3);
-        let _ = std::fs::remove_dir_all(&dir);
+        for_both_lanes("offerbatch", |dir| {
+            let (producer, _consumer) = lane(dir, 4);
+            // 6 offered into a 4-deep shard: 4 land, 2 come back untouched.
+            let (rest, err) = producer.offer_batch(0, logs(0..6)).unwrap_err();
+            assert_eq!(err, PipelineError::BufferFull { partition: 0 });
+            assert_eq!(
+                timestamps(&rest),
+                vec![4, 5],
+                "the suffix is handed back in order"
+            );
+            // Shard now full: the whole batch bounces, nothing is appended.
+            let (rest, err) = producer.offer_batch(0, logs(6..8)).unwrap_err();
+            assert_eq!(err, PipelineError::BufferFull { partition: 0 });
+            assert_eq!(rest.len(), 2);
+            drop(producer);
+            if let Some(dir) = dir {
+                assert_eq!(
+                    durable_seqs(dir),
+                    vec![0, 1, 2, 3],
+                    "only the accepted prefix is durable"
+                );
+            }
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// For any batch and any queue fill, on either lane: `offer_batch`
+        /// returns without anyone draining the shard, every record either
+        /// landed or came back (`landed + rest == batch`), both halves
+        /// keep batch order, and a log advanced by exactly `landed`.
+        #[test]
+        fn offer_batch_never_blocks_and_conserves_the_batch(
+            fill in 0u64..=8,
+            batch in 0u64..20,
+            wal in any::<bool>(),
+        ) {
+            let dir = wal.then(|| scratch("prop"));
+            let (producer, mut consumer) = lane(dir.as_deref(), 8);
+            prop_assert_eq!(producer.send_batch(0, logs(0..fill)).unwrap(), fill as usize);
+
+            // Nothing drains the shard while the offer runs: an offer
+            // that blocked on the full channel would never report back.
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let offered = std::thread::spawn(move || {
+                let result = producer.offer_batch(0, logs(fill..fill + batch));
+                done_tx.send(()).unwrap();
+                result
+            });
+            prop_assert!(
+                done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+                "offer_batch blocked on a shard holding {} of 8", fill
+            );
+            let (landed, rest) = match offered.join().unwrap() {
+                Ok(n) => (n as u64, Vec::new()),
+                Err((rest, err)) => {
+                    prop_assert_eq!(err, PipelineError::BufferFull { partition: 0 });
+                    (batch - rest.len() as u64, rest)
+                }
+            };
+            prop_assert_eq!(landed, batch.min(8 - fill), "exactly what fits lands");
+            prop_assert_eq!(timestamps(&rest), (fill + landed..fill + batch).collect::<Vec<_>>());
+            let queued = consumer.recv_batch(64, Duration::ZERO).unwrap_or_default();
+            prop_assert_eq!(timestamps(&queued), (0..fill + landed).collect::<Vec<_>>());
+            if let Some(dir) = dir {
+                prop_assert_eq!(durable_seqs(&dir), (0..fill + landed).collect::<Vec<_>>());
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 }

@@ -3,10 +3,17 @@
 //! The production deployment workflow of the paper's §VI (Fig. 7), as an
 //! in-process dataflow:
 //!
-//! - **Collection**: a shipper thread (Filebeat stand-in) feeds a bounded,
-//!   partitioned buffer ([`buffer::LogBuffer`], the Kafka stage) and a
-//!   formatter normalizes records ([`record::format_log`], the Logstash
-//!   stage);
+//! - **One start, one handle**: [`start_pipeline`] builds the buffer,
+//!   spawns the workers and returns the pipeline's only producing handle,
+//!   [`Ingest`] (`send` / `send_batch` / `offer_batch`). Setting
+//!   [`PipelineConfig::wal`] puts a write-ahead log behind each of the
+//!   handle's partition lanes ([`durable`]); nothing else changes.
+//!   [`run_pipeline_with`] is that plus a shipper thread over a finite
+//!   source;
+//! - **Collection**: the shipper thread (Filebeat stand-in) feeds a
+//!   bounded, partitioned buffer ([`buffer::LogBuffer`], the Kafka stage)
+//!   through the handle and a formatter normalizes records
+//!   ([`record::format_log`], the Logstash stage);
 //! - **Detection**: one worker per buffer partition runs a sliding-window
 //!   assembler; a pattern library ([`patterns::PatternLibrary`]) answers
 //!   repeated patterns on the fast path, a bounded LRU score cache
@@ -40,10 +47,10 @@ pub use detect::QuantScorer;
 pub use detect::{
     ModelScorer, OnlineDetector, RetryPolicy, SequenceScorer, ServeMode, DEFAULT_SCORE_CACHE,
 };
-pub use durable::{start_durable, DurablePipeline, DurableProducer, WalOptions};
+pub use durable::{start_pipeline, Ingest, RunningPipeline, WalOptions};
 pub use error::{DeadLetter, PipelineError};
 pub use patterns::{pattern_key, PatternLibrary, Verdict};
 pub use record::{format_log, RawLog, StructuredLog};
 pub use report::{MemorySink, MessagingSink, Report, ReportSink};
-pub use service::{run_pipeline, run_pipeline_with, PipelineConfig, PipelineSummary};
+pub use service::{run_pipeline_with, PipelineConfig, PipelineSummary};
 pub use vectorizer::EventVectorizer;

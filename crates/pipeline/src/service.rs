@@ -27,15 +27,15 @@ use logsynergy_telemetry as telemetry;
 use logsynergy::wal::CursorState;
 
 use crate::buffer::LogBuffer;
-use crate::detect::{OnlineDetector, RetryPolicy, SequenceScorer, ServeMode};
-use crate::durable::{DurableWorkerInit, WalOptions};
+use crate::detect::{OnlineDetector, RetryPolicy, SequenceScorer, ServeMode, TierCounts};
+use crate::durable::{start_pipeline, DurableWorkerInit, Ingest, RunningPipeline, WalOptions};
 use crate::error::DeadLetter;
 use crate::faults::{self, points, Fault};
 use crate::record::{format_log, RawLog};
 use crate::report::ReportSink;
 use crate::vectorizer::EventVectorizer;
 
-/// Serving knobs for [`run_pipeline_with`].
+/// Serving knobs for [`start_pipeline`] and [`run_pipeline_with`].
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
     /// Buffer partitions; one detection worker is spawned per partition.
@@ -56,8 +56,6 @@ pub struct PipelineConfig {
     /// Base backoff between retries/restarts (doubles per attempt,
     /// capped, with deterministic jitter).
     pub retry_backoff: Duration,
-    /// Wall-clock budget for one batch's model-tier scoring attempts.
-    pub score_deadline: Duration,
     /// Load-shedding high-watermark in queued logs per partition: while
     /// a worker's queue depth is at or above it, batches are served from
     /// the cheap tiers only. 0 disables shedding.
@@ -75,7 +73,7 @@ pub struct PipelineConfig {
     /// Durable transport: when set, every record is appended and flushed
     /// to a per-partition write-ahead log before it is acknowledged, and
     /// workers commit recovery cursors as they account batches (see
-    /// [`crate::durable`]). `None` keeps the classic in-memory path.
+    /// [`crate::durable`]). `None` leaves the partition lanes in memory.
     pub wal: Option<WalOptions>,
 }
 
@@ -89,7 +87,6 @@ impl Default for PipelineConfig {
             score_cache: 4096,
             max_retries: 2,
             retry_backoff: Duration::from_millis(1),
-            score_deadline: Duration::from_secs(30),
             shed_watermark: 0,
             core_budget: 0,
             library_capacity: 0,
@@ -159,13 +156,7 @@ pub struct PipelineSummary {
 
 struct WorkerStats {
     logs: u64,
-    pattern_hits: u64,
-    cache_hits: u64,
-    model_calls: u64,
-    degraded: u64,
-    shed: u64,
-    quarantined: u64,
-    retries: u64,
+    counts: TierCounts,
     restarts: u64,
     dead_letters: Vec<DeadLetter>,
     reports: u64,
@@ -181,14 +172,13 @@ fn restart_backoff(base: Duration, attempt: u64) -> Duration {
 }
 
 /// A running set of per-partition detection workers draining a
-/// [`LogBuffer`] — the detection half of [`run_pipeline_with`], exposed
-/// so network front doors (the `logsynergy-serve` ingest daemon) can pair
-/// the same workers with their own producers instead of an in-process
-/// source vector.
+/// [`LogBuffer`] — the detection half of a pipeline started by
+/// [`start_pipeline`], which hands it back next to the producing
+/// [`Ingest`] handle so the in-process shipper and network front doors
+/// (the `logsynergy-serve` ingest daemon) drive the same workers.
 ///
-/// Workers run until every producer handle (and the buffer itself, which
-/// holds one sender per partition) is dropped and the queues drain;
-/// [`DetectionPool::join`] then folds the per-worker stats into a
+/// Workers run until the producing handle is dropped and the queues
+/// drain; [`DetectionPool::join`] then folds the per-worker stats into a
 /// [`PipelineSummary`] whose six-bucket accounting invariant holds.
 pub struct DetectionPool {
     workers: Vec<thread::JoinHandle<WorkerStats>>,
@@ -203,50 +193,10 @@ impl DetectionPool {
     /// Spawns one detection worker per buffer partition. The vectorizer,
     /// scorer, and sink are cloned once per worker; scorers like
     /// [`crate::detect::ModelScorer`] share the trained weights across
-    /// clones and take only a private scratch.
-    pub fn spawn<S, K>(
-        buffer: &LogBuffer,
-        vectorizer: EventVectorizer,
-        scorer: S,
-        sink: K,
-        config: &PipelineConfig,
-    ) -> DetectionPool
-    where
-        S: SequenceScorer + Clone + 'static,
-        K: ReportSink + Clone + 'static,
-    {
-        let inits = (0..config.partitions).map(|_| None).collect();
-        Self::spawn_inner(buffer, vectorizer, scorer, sink, config, inits)
-    }
-
-    /// [`DetectionPool::spawn`] with one durable-worker init per
-    /// partition: workers resume from their recovered cursors and commit
-    /// a new cursor after every accounted batch. Used by
-    /// [`crate::durable::start_durable`].
-    pub(crate) fn spawn_durable<S, K>(
-        buffer: &LogBuffer,
-        vectorizer: EventVectorizer,
-        scorer: S,
-        sink: K,
-        config: &PipelineConfig,
-        inits: Vec<DurableWorkerInit>,
-    ) -> DetectionPool
-    where
-        S: SequenceScorer + Clone + 'static,
-        K: ReportSink + Clone + 'static,
-    {
-        assert_eq!(inits.len(), config.partitions);
-        Self::spawn_inner(
-            buffer,
-            vectorizer,
-            scorer,
-            sink,
-            config,
-            inits.into_iter().map(Some).collect(),
-        )
-    }
-
-    fn spawn_inner<S, K>(
+    /// clones and take only a private scratch. `inits` carries one entry
+    /// per partition: `Some` resumes that worker from its recovered
+    /// cursor and has it commit a new one after every accounted batch.
+    pub(crate) fn spawn<S, K>(
         buffer: &LogBuffer,
         vectorizer: EventVectorizer,
         scorer: S,
@@ -259,7 +209,7 @@ impl DetectionPool {
         K: ReportSink + Clone + 'static,
     {
         assert!(config.partitions > 0 && config.batch_windows > 0);
-        assert_eq!(buffer.partitions(), config.partitions);
+        assert_eq!(inits.len(), config.partitions);
         let durable = inits.iter().any(|i| i.is_some());
         // Composable parallelism: split the kernel-thread budget evenly over
         // the detection workers, so N workers × M kernel threads never exceeds
@@ -273,16 +223,13 @@ impl DetectionPool {
         };
         let kernel_threads = (budget / config.partitions).max(1);
         telemetry::global().set_tag("pipeline.scorer_tier", scorer.tier_label());
-        let consumers: Vec<_> = (0..config.partitions)
-            .map(|p| buffer.partition_consumer(p))
-            .collect();
         let start = Instant::now();
-        let workers = consumers
+        let workers = inits
             .into_iter()
-            .zip(inits)
-            .map(|(consumer, init)| {
+            .enumerate()
+            .map(|(p, init)| {
                 spawn_worker(
-                    consumer,
+                    buffer.partition_consumer(p),
                     vectorizer.clone(),
                     scorer.clone(),
                     sink.clone(),
@@ -300,16 +247,10 @@ impl DetectionPool {
     }
 
     /// Waits for every worker to hit end-of-stream and folds their stats
-    /// into a summary. Blocks until all producer handles are gone.
+    /// into a summary. Blocks until the producing handle is gone.
     pub fn join(self) -> PipelineSummary {
         let mut logs = 0u64;
-        let mut pattern_hits = 0u64;
-        let mut cache_hits = 0u64;
-        let mut model_calls = 0u64;
-        let mut degraded = 0u64;
-        let mut shed = 0u64;
-        let mut quarantined = 0u64;
-        let mut retries = 0u64;
+        let mut counts = TierCounts::default();
         let mut worker_restarts = 0u64;
         let mut crashed_workers = 0u64;
         let mut dead_letters = Vec::new();
@@ -331,13 +272,7 @@ impl DetectionPool {
                 Err(e) => std::panic::resume_unwind(e),
             };
             logs += s.logs;
-            pattern_hits += s.pattern_hits;
-            cache_hits += s.cache_hits;
-            model_calls += s.model_calls;
-            degraded += s.degraded;
-            shed += s.shed;
-            quarantined += s.quarantined;
-            retries += s.retries;
+            counts += s.counts;
             worker_restarts += s.restarts;
             dead_letters.extend(s.dead_letters);
             reports += s.reports;
@@ -346,14 +281,14 @@ impl DetectionPool {
         let elapsed = self.start.elapsed();
         PipelineSummary {
             logs,
-            windows: pattern_hits + cache_hits + model_calls + degraded + shed + quarantined,
-            pattern_hits,
-            cache_hits,
-            model_calls,
-            degraded,
-            shed,
-            quarantined,
-            retries,
+            windows: counts.windows(),
+            pattern_hits: counts.pattern_hits,
+            cache_hits: counts.cache_hits,
+            model_calls: counts.model_calls,
+            degraded: counts.degraded,
+            shed: counts.shed,
+            quarantined: counts.quarantined,
+            retries: counts.retries,
             worker_restarts,
             crashed_workers,
             dead_letters,
@@ -366,13 +301,16 @@ impl DetectionPool {
 }
 
 /// Runs the full pipeline over a finite log source with explicit serving
-/// knobs: a producer thread ships raw logs through the bounded partitioned
-/// buffer while one detection worker per partition formats, windows,
-/// micro-batches, detects, and reports.
+/// knobs: [`start_pipeline`], then a shipper thread (the Filebeat
+/// stand-in) feeds the source through the [`Ingest`] handle while one
+/// detection worker per partition formats, windows, micro-batches,
+/// detects, and reports.
 ///
-/// The vectorizer, scorer, and sink are cloned once per worker; scorers
-/// like [`crate::detect::ModelScorer`] share the trained weights across
-/// clones and take only a private scratch.
+/// With [`PipelineConfig::wal`] set the summary's accounting is
+/// *cumulative* — it resumes from whatever cursors a previous run of the
+/// same WAL directory committed, replaying unacked records first — so
+/// `summary.logs` is the all-time record count for the directory, not
+/// this call's `source.len()`.
 pub fn run_pipeline_with<S, K>(
     source: Vec<RawLog>,
     vectorizer: EventVectorizer,
@@ -384,123 +322,78 @@ where
     S: SequenceScorer + Clone + 'static,
     K: ReportSink + Clone + 'static,
 {
-    if config.wal.is_some() {
-        return run_pipeline_durable(source, vectorizer, scorer, sink, config);
-    }
-    let buffer = LogBuffer::new(config.partitions, config.partition_capacity);
-    let producer = buffer.producer();
-    let pool = DetectionPool::spawn(&buffer, vectorizer, scorer, sink, &config);
-    // Drop the buffer's own sender handles: once the shipper finishes, the
+    let RunningPipeline { pool, producer, .. } =
+        start_pipeline(vectorizer, scorer, sink, &config).expect("write-ahead log unavailable");
+    // The shipper owns the only producing handle: when it finishes, the
     // channels disconnect and workers see a definitive end of stream.
-    drop(buffer);
-    let n = source.len() as u64;
-
-    let shipper = thread::spawn(move || {
-        'ship: for log in source {
-            let mut slot = Some(log);
-            let mut attempt = 0u64;
-            while let Some(log) = slot.take() {
-                // `buffer.push` injection point, consulted while this
-                // loop still owns the record: a simulated producer crash
-                // or transient refusal backs off and retries the same
-                // record, so no log is ever lost on the way in.
-                let healthy = catch_unwind(|| match faults::inject(points::BUFFER_PUSH) {
-                    Some(Fault::Panic) => panic!("{}: buffer.push", faults::PANIC_MARKER),
-                    Some(Fault::TransientError) => false,
-                    Some(Fault::Latency(d)) => {
-                        thread::sleep(d);
-                        true
-                    }
-                    Some(Fault::CorruptScore) | None => true,
-                })
-                .unwrap_or(false);
-                if !healthy {
-                    attempt += 1;
-                    slot = Some(log);
-                    thread::sleep(restart_backoff(Duration::from_micros(200), attempt));
-                    continue;
-                }
-                if producer.try_send(log).is_err() {
-                    // Every worker is gone; nothing can consume what's
-                    // left. Stop shipping rather than panic.
-                    break 'ship;
-                }
-            }
-        }
-        // Producer handle drops here, closing its side.
-    });
-
+    let shipper = thread::spawn(move || ship(source, producer));
     shipper.join().expect("shipper thread panicked");
-    let mut summary = pool.join();
-    summary.logs = summary.logs.min(n);
-    summary
+    pool.join()
 }
 
-/// The durable-mode body of [`run_pipeline_with`]: the source ships
-/// through a [`crate::durable::DurableProducer`] (append + flush before
-/// the ack), and the summary's accounting is *cumulative* — it resumes
-/// from whatever cursors a previous run of the same WAL directory
-/// committed, replaying unacked records first. `summary.logs` is
-/// therefore the all-time record count for the directory, not this
-/// call's `source.len()`.
-fn run_pipeline_durable<S, K>(
-    source: Vec<RawLog>,
-    vectorizer: EventVectorizer,
-    scorer: S,
-    sink: K,
-    config: PipelineConfig,
-) -> PipelineSummary
-where
-    S: SequenceScorer + Clone + 'static,
-    K: ReportSink + Clone + 'static,
-{
-    let durable = crate::durable::start_durable(vectorizer, scorer, sink, &config)
-        .expect("write-ahead log unavailable");
-    let producer = durable.producer;
-    let partitions = config.partitions.max(1);
-    let shipper = thread::spawn(move || {
-        // Group commit: accumulate per-partition micro-batches so each
-        // flush pays one partition-lock acquisition and one WAL
-        // write+flush for up to SHIP_BATCH records instead of one per
-        // record. A panic out of the append (an injected producer
-        // crash) kills the shipper like a dead ingest process: records
-        // not yet appended are simply never sent — nothing was acked —
-        // and the caller's retry layer re-ships them.
-        const SHIP_BATCH: usize = 64;
-        let mut pending: Vec<Vec<RawLog>> = (0..partitions).map(|_| Vec::new()).collect();
-        let flush = |partition: usize, batch: Vec<RawLog>| -> bool {
-            let mut slot = Some(batch);
-            let mut attempt = 0u64;
-            while let Some(batch) = slot.take() {
-                match catch_unwind(AssertUnwindSafe(|| producer.send_batch(partition, batch))) {
-                    Ok(Ok(_)) => {}
-                    Ok(Err((rest, e))) if e.is_transient() => {
-                        attempt += 1;
-                        slot = Some(rest);
-                        thread::sleep(restart_backoff(Duration::from_micros(200), attempt));
-                    }
-                    Ok(Err(_)) | Err(_) => return false,
+/// The shipper body: accumulates per-partition micro-batches so each
+/// flush pays one lane-lock acquisition (and, behind a log, one WAL
+/// write+flush) for up to `SHIP_BATCH` records instead of one per record.
+fn ship(source: Vec<RawLog>, producer: Ingest) {
+    const SHIP_BATCH: usize = 64;
+    // A panic out of the append (an injected producer crash) kills the
+    // shipper like a dead ingest process: records not yet appended are
+    // simply never sent — nothing was acked — and the caller's retry
+    // layer re-ships them. A closed buffer (every worker gone) stops the
+    // shipping too, rather than panicking.
+    let flush = |partition: usize, batch: Vec<RawLog>| -> bool {
+        let mut slot = Some(batch);
+        let mut attempt = 0u64;
+        while let Some(batch) = slot.take() {
+            match catch_unwind(AssertUnwindSafe(|| producer.send_batch(partition, batch))) {
+                Ok(Ok(_)) => {}
+                Ok(Err((rest, e))) if e.is_transient() => {
+                    attempt += 1;
+                    slot = Some(rest);
+                    thread::sleep(restart_backoff(Duration::from_micros(200), attempt));
                 }
+                Ok(Err(_)) | Err(_) => return false,
             }
+        }
+        true
+    };
+    let mut pending: Vec<Vec<RawLog>> = (0..producer.partitions()).map(|_| Vec::new()).collect();
+    for log in source {
+        // `buffer.push` injection point, consulted once per record
+        // while this loop still owns it: a simulated producer crash or
+        // transient refusal backs off and consults again, so no log is
+        // ever lost on the way in.
+        let mut attempt = 0u64;
+        while !catch_unwind(push_admitted).unwrap_or(false) {
+            attempt += 1;
+            thread::sleep(restart_backoff(Duration::from_micros(200), attempt));
+        }
+        let partition = producer.partition_for(&log.system);
+        let batch = &mut pending[partition];
+        batch.push(log);
+        if batch.len() >= SHIP_BATCH && !flush(partition, std::mem::take(batch)) {
+            return;
+        }
+    }
+    for (partition, batch) in pending.into_iter().enumerate() {
+        if !batch.is_empty() && !flush(partition, batch) {
+            return;
+        }
+    }
+}
+
+/// One consult of the `buffer.push` fault point: `false` is an injected
+/// transient refusal, an injected crash panics.
+fn push_admitted() -> bool {
+    match faults::inject(points::BUFFER_PUSH) {
+        Some(Fault::Panic) => panic!("{}: buffer.push", faults::PANIC_MARKER),
+        Some(Fault::TransientError) => false,
+        Some(Fault::Latency(d)) => {
+            thread::sleep(d);
             true
-        };
-        'ship: for log in source {
-            let partition = producer.partition_for(&log.system);
-            let batch = &mut pending[partition];
-            batch.push(log);
-            if batch.len() >= SHIP_BATCH && !flush(partition, std::mem::take(batch)) {
-                break 'ship;
-            }
         }
-        for (partition, batch) in pending.into_iter().enumerate() {
-            if !batch.is_empty() && !flush(partition, batch) {
-                break;
-            }
-        }
-        // Producer handle drops here, closing its side.
-    });
-    shipper.join().expect("shipper thread panicked");
-    durable.pool.join()
+        Some(Fault::CorruptScore) | None => true,
+    }
 }
 
 fn spawn_worker<S, K>(
@@ -527,7 +420,6 @@ where
                 .with_retry_policy(RetryPolicy {
                     max_retries: cfg.max_retries,
                     backoff: cfg.retry_backoff,
-                    deadline: cfg.score_deadline,
                     ..RetryPolicy::default()
                 });
             // The batch cap counts completed windows; convert to the
@@ -546,16 +438,19 @@ where
             // through the buffer (the replay) and are re-processed with
             // their original sequence numbers.
             let mut committer = durable.map(|init| {
-                detector.pattern_hits = init.cursor.pattern_hits;
-                detector.cache_hits = init.cursor.cache_hits;
-                detector.model_calls = init.cursor.model_calls;
-                detector.degraded = init.cursor.degraded;
-                detector.shed = init.cursor.shed;
-                detector.quarantined = init.cursor.quarantined;
-                detector.retries = init.cursor.retries;
-                detector.prime_context(init.context, init.cursor.since_last_window as usize);
-                seq_no = init.cursor.next_seq;
-                reports_delivered = init.cursor.reports;
+                let c = init.cursor;
+                detector.set_counts(TierCounts {
+                    pattern_hits: c.pattern_hits,
+                    cache_hits: c.cache_hits,
+                    model_calls: c.model_calls,
+                    degraded: c.degraded,
+                    shed: c.shed,
+                    quarantined: c.quarantined,
+                    retries: c.retries,
+                });
+                detector.prime_context(init.context, c.since_last_window as usize);
+                seq_no = c.next_seq;
+                reports_delivered = c.reports;
                 (init.committer, init.ack_horizon)
             });
             // Telemetry handles, resolved once before the hot loop.
@@ -613,17 +508,7 @@ where
                 } else {
                     ServeMode::Normal
                 };
-                let (p0, k0, m0) = (
-                    detector.pattern_hits,
-                    detector.cache_hits,
-                    detector.model_calls,
-                );
-                let (d0, s0, q0, r0) = (
-                    detector.degraded,
-                    detector.shed,
-                    detector.quarantined,
-                    detector.retries,
-                );
+                let before = detector.counts();
                 // Process the batch under panic isolation: a faulted
                 // attempt rolls the detector back to its checkpoint
                 // and replays the same raw logs with the same
@@ -667,32 +552,29 @@ where
                     }
                 }
                 seq_no += batch.len() as u64;
-                let (dp, dk, dm) = (
-                    detector.pattern_hits - p0,
-                    detector.cache_hits - k0,
-                    detector.model_calls - m0,
-                );
-                let (dd, ds, dq) = (
-                    detector.degraded - d0,
-                    detector.shed - s0,
-                    detector.quarantined - q0,
-                );
-                c_pattern.add(dp);
-                c_cache.add(dk);
-                c_model.add(dm);
-                c_degraded.add(dd);
-                c_shed.add(ds);
-                c_quarantined.add(dq);
-                c_retries.add(detector.retries - r0);
-                let dw = dp + dk + dm + dd + ds + dq;
-                c_windows.add(dw);
-                h_batch_windows.record(dw);
+                let after = detector.counts();
+                let delta = after - before;
+                c_pattern.add(delta.pattern_hits);
+                c_cache.add(delta.cache_hits);
+                c_model.add(delta.model_calls);
+                c_degraded.add(delta.degraded);
+                c_shed.add(delta.shed);
+                c_quarantined.add(delta.quarantined);
+                c_retries.add(delta.retries);
+                c_windows.add(delta.windows());
+                h_batch_windows.record(delta.windows());
                 {
                     let _deliver = telemetry::span("deliver");
+                    // Ticked per batch, with this batch's deliveries
+                    // only: a live scrape sees reports as they go out,
+                    // and a worker resumed from a cursor never re-adds
+                    // what an earlier process delivered.
+                    let delivered = reports.len() as u64;
                     for report in reports.drain(..) {
                         sink.deliver(&report);
-                        reports_delivered += 1;
                     }
+                    reports_delivered += delivered;
+                    c_reports.add(delivered);
                 }
                 // Durable commit: accounting and delivery for this batch
                 // are done, so the cursor may advance. Deliberately
@@ -709,13 +591,13 @@ where
                         next_seq: seq_no,
                         window_fill: fill as u32,
                         since_last_window: since as u32,
-                        pattern_hits: detector.pattern_hits,
-                        cache_hits: detector.cache_hits,
-                        model_calls: detector.model_calls,
-                        degraded: detector.degraded,
-                        shed: detector.shed,
-                        quarantined: detector.quarantined,
-                        retries: detector.retries,
+                        pattern_hits: after.pattern_hits,
+                        cache_hits: after.cache_hits,
+                        model_calls: after.model_calls,
+                        degraded: after.degraded,
+                        shed: after.shed,
+                        quarantined: after.quarantined,
+                        retries: after.retries,
                         reports: reports_delivered,
                     };
                     match cf.commit(&state) {
@@ -728,17 +610,10 @@ where
                     }
                 }
             }
-            c_reports.add(reports_delivered);
             g_active.add(-1);
             WorkerStats {
                 logs: seq_no,
-                pattern_hits: detector.pattern_hits,
-                cache_hits: detector.cache_hits,
-                model_calls: detector.model_calls,
-                degraded: detector.degraded,
-                shed: detector.shed,
-                quarantined: detector.quarantined,
-                retries: detector.retries,
+                counts: detector.counts(),
                 restarts,
                 dead_letters: detector.take_dead_letters(),
                 reports: reports_delivered,
@@ -747,21 +622,6 @@ where
         };
         logsynergy_nn::kernels::with_threads(kernel_threads, serve)
     })
-}
-
-/// Runs the full pipeline with the default serving configuration
-/// ([`PipelineConfig::default`]).
-pub fn run_pipeline<S, K>(
-    source: Vec<RawLog>,
-    vectorizer: EventVectorizer,
-    scorer: S,
-    sink: K,
-) -> PipelineSummary
-where
-    S: SequenceScorer + Clone + 'static,
-    K: ReportSink + Clone + 'static,
-{
-    run_pipeline_with(source, vectorizer, scorer, sink, PipelineConfig::default())
 }
 
 #[cfg(test)]
@@ -806,7 +666,13 @@ mod tests {
         let source = burst_source("b", 120, 40..44);
         let v = EventVectorizer::new(SystemId::SystemB, 8, LeiConfig::default());
         let sink = MemorySink::new();
-        let summary = run_pipeline(source, v, EvenScorer, sink.clone());
+        let summary = run_pipeline_with(
+            source,
+            v,
+            EvenScorer,
+            sink.clone(),
+            PipelineConfig::default(),
+        );
         assert_eq!(summary.logs, 120);
         assert!(summary.reports > 0, "burst must be reported");
         assert!(
@@ -880,7 +746,13 @@ mod tests {
         }
         let v = EventVectorizer::new(SystemId::SystemB, 8, LeiConfig::default());
         let sink = MemorySink::new();
-        let summary = run_pipeline(source, v, EvenScorer, sink.clone());
+        let summary = run_pipeline_with(
+            source,
+            v,
+            EvenScorer,
+            sink.clone(),
+            PipelineConfig::default(),
+        );
         assert_eq!(summary.logs, 240);
         assert!(summary.reports > 0, "bursts must be reported");
         let mut last_seen: std::collections::HashMap<String, u64> = Default::default();

@@ -31,8 +31,8 @@ use logsynergy_lei::LeiConfig;
 use logsynergy_loggen::SystemId;
 use logsynergy_pipeline::faults::{points, test_lock, FaultPlan, FaultSpec};
 use logsynergy_pipeline::{
-    run_pipeline_with, start_durable, DurablePipeline, EventVectorizer, MemorySink, ModelScorer,
-    PipelineConfig, PipelineSummary, RawLog, Report, SequenceScorer, WalOptions,
+    run_pipeline_with, start_pipeline, EventVectorizer, MemorySink, ModelScorer, PipelineConfig,
+    PipelineSummary, RawLog, Report, RunningPipeline, SequenceScorer, WalOptions,
 };
 use logsynergy_telemetry as telemetry;
 use rand::rngs::StdRng;
@@ -396,7 +396,7 @@ fn wal_kill_and_recover_storm_preserves_exactly_once_accounting() {
         // recover identically.
         let sink1 = MemorySink::new();
         let sent_ok = with_quiet_panics(|| {
-            let durable = start_durable(warm_vectorizer(), KeyScorer, sink1.clone(), &cfg)
+            let durable = start_pipeline(warm_vectorizer(), KeyScorer, sink1.clone(), &cfg)
                 .expect("a fresh log directory must open");
             let (point, spec) = match scenario {
                 0 => (
@@ -420,7 +420,7 @@ fn wal_kill_and_recover_storm_preserves_exactly_once_accounting() {
                     Ok(Err(_)) | Err(_) => break,
                 }
             }
-            let DurablePipeline { pool, producer, .. } = durable;
+            let RunningPipeline { pool, producer, .. } = durable;
             drop(producer);
             let _ = pool.join();
             assert_eq!(
@@ -443,7 +443,7 @@ fn wal_kill_and_recover_storm_preserves_exactly_once_accounting() {
                     .install()
             });
             let first_try = catch_unwind(AssertUnwindSafe(|| {
-                start_durable(warm_vectorizer(), KeyScorer, sink2.clone(), &cfg)
+                start_pipeline(warm_vectorizer(), KeyScorer, sink2.clone(), &cfg)
             }));
             let durable = match first_try {
                 Ok(Ok(d)) => {
@@ -451,7 +451,7 @@ fn wal_kill_and_recover_storm_preserves_exactly_once_accounting() {
                     d
                 }
                 Ok(Err(e)) => panic!("seed {seed}: recovery failed typed: {e}"),
-                Err(_) => start_durable(warm_vectorizer(), KeyScorer, sink2.clone(), &cfg)
+                Err(_) => start_pipeline(warm_vectorizer(), KeyScorer, sink2.clone(), &cfg)
                     .expect("retried recovery must succeed"),
             };
             drop(recover_guard);
@@ -461,7 +461,7 @@ fn wal_kill_and_recover_storm_preserves_exactly_once_accounting() {
                     .send(log.clone())
                     .expect("unfaulted send must land");
             }
-            let DurablePipeline { pool, producer, .. } = durable;
+            let RunningPipeline { pool, producer, .. } = durable;
             drop(producer);
             pool.join()
         });
@@ -557,7 +557,7 @@ fn mid_batch_append_faults_keep_exactly_once_accounting() {
         let dir = std::env::temp_dir().join(format!("lswal-midbatch-err-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let sink = MemorySink::new();
-        let durable = start_durable(
+        let durable = start_pipeline(
             warm_vectorizer(),
             KeyScorer,
             sink.clone(),
@@ -603,7 +603,7 @@ fn mid_batch_append_faults_keep_exactly_once_accounting() {
         );
         drop(guard);
         assert!(retried > 0, "the fault must hand back a suffix to retry");
-        let DurablePipeline { pool, producer, .. } = durable;
+        let RunningPipeline { pool, producer, .. } = durable;
         drop(producer);
         let summary = pool.join();
         assert_eq!(summary.logs, n as u64, "retried suffix lands exactly once");
@@ -625,7 +625,7 @@ fn mid_batch_append_faults_keep_exactly_once_accounting() {
 
         let sink1 = MemorySink::new();
         let sent = with_quiet_panics(|| {
-            let durable = start_durable(warm_vectorizer(), KeyScorer, sink1.clone(), &cfg)
+            let durable = start_pipeline(warm_vectorizer(), KeyScorer, sink1.clone(), &cfg)
                 .expect("a fresh log directory must open");
             let guard = FaultPlan::seeded(23)
                 .arm(
@@ -648,7 +648,7 @@ fn mid_batch_append_faults_keep_exactly_once_accounting() {
                 "the armed crash must fire"
             );
             drop(guard);
-            let DurablePipeline { pool, producer, .. } = durable;
+            let RunningPipeline { pool, producer, .. } = durable;
             drop(producer);
             let _ = pool.join();
             sent
@@ -657,7 +657,7 @@ fn mid_batch_append_faults_keep_exactly_once_accounting() {
         assert!(sent > 0 && sent < n, "the crash must land mid-stream");
 
         let sink2 = MemorySink::new();
-        let durable = start_durable(warm_vectorizer(), KeyScorer, sink2.clone(), &cfg)
+        let durable = start_pipeline(warm_vectorizer(), KeyScorer, sink2.clone(), &cfg)
             .expect("restart over the crashed directory must recover");
         for chunk in stream[sent..].chunks(BATCH) {
             durable
@@ -665,7 +665,7 @@ fn mid_batch_append_faults_keep_exactly_once_accounting() {
                 .send_batch(0, chunk.to_vec())
                 .expect("unfaulted batch must land");
         }
-        let DurablePipeline { pool, producer, .. } = durable;
+        let RunningPipeline { pool, producer, .. } = durable;
         drop(producer);
         let second = pool.join();
 

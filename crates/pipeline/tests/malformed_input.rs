@@ -128,10 +128,11 @@ fn send_after_shutdown_returns_typed_error_with_the_record() {
         timestamp: 7,
         message: "late arrival".into(),
     };
-    let (returned, err) = producer
-        .try_send(log)
-        .expect_err("send into a closed buffer must fail");
     let expected = producer.partition_for("b");
+    let (mut returned, err) = producer
+        .send_many_to(expected, vec![log])
+        .expect_err("send into a closed buffer must fail");
+    let returned = returned.pop().expect("the refused record is handed back");
     assert_eq!(
         err,
         PipelineError::BufferClosed {

@@ -117,19 +117,23 @@ proptest! {
         let p = buf.producer();
         let count = n.min(systems.len());
         for (i, &sys) in systems.iter().take(count).enumerate() {
-            p.send(RawLog {
+            let log = RawLog {
                 system: format!("sys{sys}"),
                 timestamp: i as u64,
                 message: String::new(),
-            });
+            };
+            let shard = p.partition_for(&log.system);
+            p.send_many_to(shard, vec![log]).expect("buffer open");
         }
         drop(p);
-        let mut c = buf.consumer();
         let mut per_system: std::collections::HashMap<String, Vec<u64>> = Default::default();
         let mut total = 0;
-        while let Some(l) = c.recv(Duration::from_millis(5)) {
-            per_system.entry(l.system).or_default().push(l.timestamp);
-            total += 1;
+        for shard in 0..3 {
+            let mut c = buf.partition_consumer(shard);
+            for l in c.recv_batch(128, Duration::ZERO).expect("buffer open") {
+                per_system.entry(l.system).or_default().push(l.timestamp);
+                total += 1;
+            }
         }
         prop_assert_eq!(total, count);
         for (_, ts) in per_system {

@@ -5,7 +5,7 @@
 //!             ┌───────────────┐   bounded    ┌────────────────────┐
 //!  clients ──▶│ accept thread │──────────────▶ handler thread pool │
 //!             └───────────────┘  conn queue  └─────────┬──────────┘
-//!                                   auth · quota · shed │ offer_to
+//!                                   auth · quota · shed │ offer_batch
 //!                                             ┌─────────▼─────────┐
 //!                                             │ LogBuffer (shards)│
 //!                                             └─────────┬─────────┘
@@ -20,7 +20,10 @@
 //! Handlers parse NDJSON / syslog lines (see [`crate::proto`]), enforce
 //! per-tenant token-bucket quotas and fair-share shard routing (see
 //! [`crate::tenants`]), apply the shed watermark, and push accepted
-//! records through [`Producer::offer_to`]. On drain the daemon stops
+//! records through the pipeline's [`Ingest`] handle in per-partition
+//! micro-batches. Each connection is a small state machine ([`Conn`]:
+//! unauthenticated → streaming → finished) that the socket loop feeds
+//! lines and idle ticks. On drain the daemon stops
 //! accepting, lets in-flight connections flush (bounded by the drain
 //! timeout), drops every producer handle, and joins the detection pool
 //! into a final [`PipelineSummary`] whose six-bucket accounting is
@@ -37,11 +40,12 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use logsynergy::faults::{self, points, Fault, PANIC_MARKER};
-use logsynergy_pipeline::buffer::{LogBuffer, Producer};
 use logsynergy_pipeline::detect::SequenceScorer;
 use logsynergy_pipeline::report::ReportSink;
 use logsynergy_pipeline::service::{DetectionPool, PipelineConfig, PipelineSummary};
-use logsynergy_pipeline::{start_durable, DurableProducer, EventVectorizer, PipelineError, RawLog};
+use logsynergy_pipeline::{
+    start_pipeline, EventVectorizer, Ingest, PipelineError, RawLog, RunningPipeline,
+};
 use logsynergy_telemetry as telemetry;
 use parking_lot::Mutex;
 
@@ -59,6 +63,14 @@ const ERROR_FRAME_EVERY: u64 = 1024;
 /// with a 400 frame and closed.
 const MAX_LINE_BYTES: usize = 64 * 1024;
 
+/// Accepted-but-unhandled connection queue depth; the accept thread
+/// blocks (TCP backlog backpressure) when it is full.
+const PENDING_CONNECTIONS: usize = 64;
+
+/// Per-read socket timeout: the granularity at which an idle
+/// connection's handler (and the accept thread) notices the stop flag.
+const IDLE_POLL: Duration = Duration::from_millis(50);
+
 /// Tuning knobs for the ingest daemon.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -67,18 +79,12 @@ pub struct ServeConfig {
     /// Connection-handler pool size — the bound on concurrently
     /// *streaming* clients; excess accepted connections wait queued.
     pub handler_threads: usize,
-    /// Accepted-but-unhandled connection queue depth; the accept thread
-    /// blocks (TCP backlog backpressure) when it is full.
-    pub pending_connections: usize,
     /// Budget for in-flight connections to flush after drain starts;
     /// past it handlers close connections mid-stream.
     pub drain_timeout: Duration,
     /// How often the tenants file is polled for changes (mtime-based
     /// hot reload); also the shutdown-latency bound of that thread.
     pub reload_poll: Duration,
-    /// Per-read socket timeout: the granularity at which an idle
-    /// connection's handler notices the stop flag.
-    pub idle_poll: Duration,
     /// A connection must authenticate within this budget or be closed —
     /// an unauthenticated socket may not camp on a handler slot.
     pub auth_deadline: Duration,
@@ -92,14 +98,14 @@ pub struct ServeConfig {
     /// outright as abusive.
     pub quota_disconnect_after: u64,
     /// Records a handler accumulates per partition before flushing them
-    /// through the producer as one group commit (one partition-lock
-    /// acquisition and, in durable mode, one WAL write+flush for the
-    /// whole batch). `1` flushes every record immediately — the
+    /// through the ingest handle as one group commit (one lane-lock
+    /// acquisition and, behind a log, one WAL write+flush for the whole
+    /// batch). `1` flushes every record immediately — the
     /// pre-batching behavior.
     pub ingest_batch: usize,
     /// Oldest a buffered record may grow before its connection's
     /// pending batches are force-flushed, so a trickling client is
-    /// never more than roughly this far (plus one `idle_poll`) from
+    /// never more than roughly this far (plus one 50 ms idle poll) from
     /// its durability ack.
     pub ingest_batch_deadline: Duration,
     /// Detection-side configuration (partitions, capacity, shedding,
@@ -112,10 +118,8 @@ impl Default for ServeConfig {
         ServeConfig {
             listen: "127.0.0.1:0".into(),
             handler_threads: 4,
-            pending_connections: 64,
             drain_timeout: Duration::from_secs(5),
             reload_poll: Duration::from_millis(500),
-            idle_poll: Duration::from_millis(50),
             auth_deadline: Duration::from_secs(5),
             quota_slow_after: 64,
             quota_penalty: Duration::from_millis(2),
@@ -144,121 +148,61 @@ pub struct IngestStats {
     pub connections: u64,
 }
 
-#[derive(Default)]
+/// One monotone ingest total and its mirror in the telemetry registry.
+/// The atomic is the per-daemon source of truth behind [`IngestStats`]
+/// (the registry is process-wide and can be switched off); both move
+/// together, here.
+struct Meter {
+    total: AtomicU64,
+    mirror: Arc<telemetry::Counter>,
+}
+
+impl Meter {
+    fn new(scope: &telemetry::Scope, name: &str) -> Self {
+        Meter {
+            total: AtomicU64::new(0),
+            mirror: scope.counter(name),
+        }
+    }
+
+    fn add(&self, n: u64) {
+        self.total.fetch_add(n, Ordering::Relaxed);
+        self.mirror.add(n);
+    }
+
+    fn get(&self) -> u64 {
+        self.total.load(Ordering::Relaxed)
+    }
+}
+
 struct Totals {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    shed: AtomicU64,
-    parse_errors: AtomicU64,
-    abusive_disconnects: AtomicU64,
-    connections: AtomicU64,
-}
-
-/// The daemon's front-door producer: plain in-memory, or routed
-/// through the per-partition write-ahead log when the pipeline config
-/// carries a WAL directory (`--wal-dir`). In durable mode a record is
-/// appended and flushed to the log *before* it is enqueued, so an
-/// accept acknowledgement means the record survives a daemon crash.
-enum IngestProducer {
-    Plain(Producer),
-    Durable(DurableProducer),
-}
-
-impl IngestProducer {
-    fn depth(&self, partition: usize) -> u64 {
-        match self {
-            IngestProducer::Plain(p) => p.depth(partition),
-            IngestProducer::Durable(p) => p.depth(partition),
-        }
-    }
-
-    /// Group commit of a handler micro-batch. The durable producer
-    /// appends and flushes the whole batch under one partition-lock
-    /// acquisition ([`DurableProducer::offer_batch`]); the plain
-    /// producer has no batch primitive, so it degrades to per-record
-    /// offers with the same return shape. `Err` hands back the records
-    /// that did not land — the accepted prefix is `batch_len -
-    /// suffix_len`.
-    fn offer_batch(
-        &self,
-        partition: usize,
-        logs: Vec<RawLog>,
-    ) -> Result<usize, (Vec<RawLog>, PipelineError)> {
-        match self {
-            IngestProducer::Plain(p) => {
-                let mut it = logs.into_iter();
-                let mut sent = 0usize;
-                for log in it.by_ref() {
-                    match p.offer_to(partition, log) {
-                        Ok(()) => sent += 1,
-                        Err((log, e)) => {
-                            let mut rest = vec![log];
-                            rest.extend(it);
-                            return Err((rest, e));
-                        }
-                    }
-                }
-                Ok(sent)
-            }
-            IngestProducer::Durable(p) => p.offer_batch(partition, logs),
-        }
-    }
-
-    /// Blocking [`IngestProducer::offer_batch`]: exerts backpressure
-    /// instead of refusing on a full shard.
-    fn send_batch(
-        &self,
-        partition: usize,
-        logs: Vec<RawLog>,
-    ) -> Result<usize, (Vec<RawLog>, PipelineError)> {
-        match self {
-            IngestProducer::Plain(p) => {
-                let mut it = logs.into_iter();
-                let mut sent = 0usize;
-                for log in it.by_ref() {
-                    match p.send_to(partition, log) {
-                        Ok(()) => sent += 1,
-                        Err((log, e)) => {
-                            let mut rest = vec![log];
-                            rest.extend(it);
-                            return Err((rest, e));
-                        }
-                    }
-                }
-                Ok(sent)
-            }
-            IngestProducer::Durable(p) => p.send_batch(partition, logs),
-        }
-    }
+    accepted: Meter,
+    rejected: Meter,
+    shed: Meter,
+    parse_errors: Meter,
+    abusive_disconnects: Meter,
+    connections: Meter,
 }
 
 /// Everything a connection handler needs, shared across threads. The
-/// single [`IngestProducer`] lives here: when the last `Arc<Shared>`
-/// drops (after every daemon thread is joined), the buffer disconnects
-/// and the detection workers run to end-of-stream.
+/// pipeline's only [`Ingest`] handle lives here: when the last
+/// `Arc<Shared>` drops (after every daemon thread is joined), the buffer
+/// disconnects and the detection workers run to end-of-stream.
 struct Shared {
     stop: AtomicBool,
     drain_deadline: Mutex<Option<Instant>>,
     drain_timeout: Duration,
     started: Instant,
-    producer: IngestProducer,
+    producer: Ingest,
     tenants: TenantTable,
     shed_watermark: usize,
-    partitions: usize,
     ingest_batch: usize,
     ingest_batch_deadline: Duration,
-    idle_poll: Duration,
     auth_deadline: Duration,
     quota_slow_after: u64,
     quota_penalty: Duration,
     quota_disconnect_after: u64,
     totals: Totals,
-    m_accepted: Arc<telemetry::Counter>,
-    m_rejected: Arc<telemetry::Counter>,
-    m_shed: Arc<telemetry::Counter>,
-    m_parse_errors: Arc<telemetry::Counter>,
-    m_abusive: Arc<telemetry::Counter>,
-    m_connections: Arc<telemetry::Counter>,
     m_active: Arc<telemetry::Gauge>,
     m_accept_faults: Arc<telemetry::Counter>,
     m_handler_restarts: Arc<telemetry::Counter>,
@@ -267,6 +211,38 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(config: &ServeConfig, specs: Vec<TenantSpec>, producer: Ingest) -> Self {
+        let scope = telemetry::global().scoped("ingest");
+        Shared {
+            stop: AtomicBool::new(false),
+            drain_deadline: Mutex::new(None),
+            drain_timeout: config.drain_timeout,
+            started: Instant::now(),
+            tenants: TenantTable::new(specs, config.pipeline.partitions),
+            shed_watermark: config.pipeline.shed_watermark,
+            ingest_batch: config.ingest_batch.max(1),
+            ingest_batch_deadline: config.ingest_batch_deadline,
+            auth_deadline: config.auth_deadline,
+            quota_slow_after: config.quota_slow_after.max(1),
+            quota_penalty: config.quota_penalty,
+            quota_disconnect_after: config.quota_disconnect_after.max(1),
+            totals: Totals {
+                accepted: Meter::new(&scope, "accepted"),
+                rejected: Meter::new(&scope, "rejected"),
+                shed: Meter::new(&scope, "shed"),
+                parse_errors: Meter::new(&scope, "parse_errors"),
+                abusive_disconnects: Meter::new(&scope, "abusive_disconnects"),
+                connections: Meter::new(&scope, "connections"),
+            },
+            m_active: scope.gauge("connections.active"),
+            m_accept_faults: scope.counter("accept.faults"),
+            m_handler_restarts: scope.counter("handler.restarts"),
+            m_reload_errors: scope.counter("config.reload_errors"),
+            m_latency: scope.histogram("latency_us"),
+            producer,
+        }
+    }
+
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::Relaxed)
     }
@@ -274,12 +250,12 @@ impl Shared {
     fn ingest_stats(&self) -> IngestStats {
         let t = &self.totals;
         IngestStats {
-            accepted: t.accepted.load(Ordering::Relaxed),
-            rejected: t.rejected.load(Ordering::Relaxed),
-            shed: t.shed.load(Ordering::Relaxed),
-            parse_errors: t.parse_errors.load(Ordering::Relaxed),
-            abusive_disconnects: t.abusive_disconnects.load(Ordering::Relaxed),
-            connections: t.connections.load(Ordering::Relaxed),
+            accepted: t.accepted.get(),
+            rejected: t.rejected.get(),
+            shed: t.shed.get(),
+            parse_errors: t.parse_errors.get(),
+            abusive_disconnects: t.abusive_disconnects.get(),
+            connections: t.connections.get(),
         }
     }
 
@@ -303,12 +279,18 @@ pub struct Daemon {
     pool: DetectionPool,
 }
 
-/// Builds the buffer + detection pool and starts listening.
+/// Starts the pipeline and begins listening.
 ///
 /// `tenants_path`, when given, is polled every
 /// [`ServeConfig::reload_poll`] and hot-reloaded on mtime change (see
 /// [`TenantTable::reload`]); `specs` is the initial tenant set (callers
 /// normally pass `load_tenants(&path)?` output).
+///
+/// With a WAL directory in `config.pipeline.wal` (`--wal-dir`) the
+/// detection pool resumes from the per-partition cursors, parked unacked
+/// records are replayed into the buffer before the first client
+/// connects, and every accepted record is logged before it is
+/// acknowledged — all of it inside [`start_pipeline`].
 pub fn start<S, K>(
     config: ServeConfig,
     specs: Vec<TenantSpec>,
@@ -321,7 +303,7 @@ where
     S: SequenceScorer + Clone + 'static,
     K: ReportSink + Clone + 'static,
 {
-    assert!(config.handler_threads > 0 && config.pending_connections > 0);
+    assert!(config.handler_threads > 0);
     let listener = TcpListener::bind(&config.listen)?;
     // Non-blocking accept, polled against the stop flag: shutdown must
     // never depend on a wake-up connection reaching the socket (which
@@ -330,63 +312,17 @@ where
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
-    // Durable mode (`--wal-dir`): the detection pool resumes from the
-    // per-partition cursors, parked unacked records are replayed into
-    // the buffer before the first client connects, and every accepted
-    // record is logged before it is acknowledged.
-    let (pool, producer) = if config.pipeline.wal.is_some() {
-        let durable = start_durable(vectorizer, scorer, sink, &config.pipeline)
+    let RunningPipeline { pool, producer, .. } =
+        start_pipeline(vectorizer, scorer, sink, &config.pipeline)
             .map_err(|e| io::Error::other(format!("write-ahead log unavailable: {e}")))?;
-        (durable.pool, IngestProducer::Durable(durable.producer))
-    } else {
-        let buffer = LogBuffer::new(
-            config.pipeline.partitions,
-            config.pipeline.partition_capacity,
-        );
-        let pool = DetectionPool::spawn(&buffer, vectorizer, scorer, sink, &config.pipeline);
-        let producer = buffer.producer();
-        drop(buffer); // the producer handle is now the only sender
-        (pool, IngestProducer::Plain(producer))
-    };
+    let shared = Arc::new(Shared::new(&config, specs, producer));
 
-    let scope = telemetry::global().scoped("ingest");
-    let shared = Arc::new(Shared {
-        stop: AtomicBool::new(false),
-        drain_deadline: Mutex::new(None),
-        drain_timeout: config.drain_timeout,
-        started: Instant::now(),
-        tenants: TenantTable::new(specs, config.pipeline.partitions),
-        shed_watermark: config.pipeline.shed_watermark,
-        partitions: config.pipeline.partitions.max(1),
-        ingest_batch: config.ingest_batch.max(1),
-        ingest_batch_deadline: config.ingest_batch_deadline,
-        idle_poll: config.idle_poll,
-        auth_deadline: config.auth_deadline,
-        quota_slow_after: config.quota_slow_after.max(1),
-        quota_penalty: config.quota_penalty,
-        quota_disconnect_after: config.quota_disconnect_after.max(1),
-        totals: Totals::default(),
-        m_accepted: scope.counter("accepted"),
-        m_rejected: scope.counter("rejected"),
-        m_shed: scope.counter("shed"),
-        m_parse_errors: scope.counter("parse_errors"),
-        m_abusive: scope.counter("abusive_disconnects"),
-        m_connections: scope.counter("connections"),
-        m_active: scope.gauge("connections.active"),
-        m_accept_faults: scope.counter("accept.faults"),
-        m_handler_restarts: scope.counter("handler.restarts"),
-        m_reload_errors: scope.counter("config.reload_errors"),
-        m_latency: scope.histogram("latency_us"),
-        producer,
-    });
-
-    let (conn_tx, conn_rx) = bounded::<TcpStream>(config.pending_connections);
+    let (conn_tx, conn_rx) = bounded::<TcpStream>(PENDING_CONNECTIONS);
     let accept = {
         let shared = shared.clone();
-        let drain_sweep = config.pending_connections;
         thread::Builder::new()
             .name("logsynergy-ingest-accept".into())
-            .spawn(move || accept_loop(listener, conn_tx, shared, drain_sweep))?
+            .spawn(move || accept_loop(listener, conn_tx, shared))?
     };
     let handlers = (0..config.handler_threads)
         .map(|i| {
@@ -447,7 +383,7 @@ impl Daemon {
         }
         self.shared.stop.store(true, Ordering::Relaxed);
         // The accept thread polls a non-blocking listener and notices
-        // the flag within one idle_poll — no wake-up connection needed.
+        // the flag within one IDLE_POLL — no wake-up connection needed.
     }
 
     /// Graceful drain: stop accepting, give in-flight connections up to
@@ -491,12 +427,7 @@ impl Daemon {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    conn_tx: Sender<TcpStream>,
-    shared: Arc<Shared>,
-    drain_sweep: usize,
-) {
+fn accept_loop(listener: TcpListener, conn_tx: Sender<TcpStream>, shared: Arc<Shared>) {
     // The listener is non-blocking (see `start`): every WouldBlock pass
     // re-checks the stop flag, so drain never depends on a wake-up
     // connection reaching the socket.
@@ -507,17 +438,10 @@ fn accept_loop(
                     return;
                 }
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                thread::sleep(shared.idle_poll);
-            }
-            // Transient accept failure (EMFILE, a reset mid-handshake):
-            // back off a beat instead of spinning hot.
-            Err(_) => thread::sleep(shared.idle_poll),
+            // Nothing pending — or a transient accept failure (EMFILE, a
+            // reset mid-handshake): back off a beat instead of spinning
+            // hot.
+            Err(_) => thread::sleep(IDLE_POLL),
         }
     }
     // Sweep what raced drain initiation: a connection already in the
@@ -526,7 +450,7 @@ fn accept_loop(
     // legitimate client mid-stream. The sweep is bounded so a flood
     // cannot extend the drain; anything past it gets the RST when the
     // listener drops.
-    for _ in 0..drain_sweep {
+    for _ in 0..PENDING_CONNECTIONS {
         match listener.accept() {
             Ok((stream, _)) => {
                 if !dispatch(stream, &conn_tx, &shared) {
@@ -564,8 +488,7 @@ fn dispatch(stream: TcpStream, conn_tx: &Sender<TcpStream>, shared: &Shared) -> 
     }));
     match admitted {
         Ok(true) => {
-            shared.totals.connections.fetch_add(1, Ordering::Relaxed);
-            shared.m_connections.inc();
+            shared.totals.connections.add(1);
             // Blocking send: a full queue backpressures onto the TCP
             // backlog rather than accepting unboundedly.
             conn_tx.send(stream).is_ok()
@@ -599,13 +522,23 @@ struct ConnCounts {
     parse_errors: u64,
 }
 
+/// The verdict a client line can be settled with; one [`Conn::tally`]
+/// moves every counter that tracks it.
+#[derive(Clone, Copy)]
+enum Outcome {
+    Accepted,
+    Rejected,
+    Shed,
+    ParseError,
+}
+
 /// Per-connection, per-partition micro-batches awaiting group commit
 /// (same shape as `Consumer::recv_batch` on the worker side: size- and
 /// deadline-bounded). A record sits here *un-acknowledged* — nothing is
 /// counted accepted, shed, or refused until its batch flushes — so
 /// flush-before-ack durability is unchanged; the batch just amortizes
-/// the partition lock and the WAL write+flush across up to
-/// `ingest_batch` records.
+/// the lane lock and the WAL write+flush across up to `ingest_batch`
+/// records.
 struct Pending {
     parts: Vec<Vec<RawLog>>,
     total: usize,
@@ -641,83 +574,49 @@ impl Pending {
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    let _ = stream.set_read_timeout(Some(shared.idle_poll));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let opened = Instant::now();
+/// What the socket loop does after feeding the connection an event.
+#[derive(Debug, PartialEq, Eq)]
+enum Flow {
+    /// Keep reading.
+    Continue,
+    /// The stream is over (QUIT, or the buffer closed underneath it):
+    /// [`Conn::finish`] and close.
+    Finish,
+    /// A terminal error frame has been written: close without a summary.
+    Close,
+}
 
-    let mut tenant: Option<Arc<TenantHandle>> = None;
-    let mut default_system = String::new();
-    let mut conn = ConnCounts::default();
-    let mut consecutive_rejected = 0u64;
-    let mut consecutive_shed = 0u64;
-    let mut draining = false;
-    let mut pending = Pending::new(shared.partitions);
+/// True on the first event of a run and then once per
+/// [`ERROR_FRAME_EVERY`]: a flood neither buys a response per line nor
+/// goes permanently unanswered.
+fn frame_due(count: u64) -> bool {
+    count == 1 || count.is_multiple_of(ERROR_FRAME_EVERY)
+}
+
+fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
+    let _ = stream.set_read_timeout(Some(IDLE_POLL));
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+    let mut conn = Conn::new(shared, stream.try_clone()?);
+    let mut reader = BufReader::new(stream);
     // One line buffer for the whole connection, pre-sized to the line
     // budget: `read_line` appends into it and `clear()` keeps the
     // allocation, so a streaming client costs zero per-line allocations
     // here.
     let mut line = String::with_capacity(MAX_LINE_BYTES + 1);
-
-    'conn: loop {
-        if shared.stopping() && shared.past_drain_deadline() {
-            draining = true;
-            break;
-        }
-        // Deadline-bound the micro-batches: a trickling client's
-        // records must not sit unacknowledged behind a batch that never
-        // fills. (The read below blocks for at most `idle_poll`, which
-        // bounds how stale this check can go.)
-        if pending.total > 0 && pending.stale(shared.ingest_batch_deadline) {
-            if let Some(t) = &tenant {
-                if !flush_all(
-                    &mut pending,
-                    &mut conn,
-                    &mut consecutive_shed,
-                    t,
-                    shared,
-                    &mut writer,
-                ) {
-                    break 'conn;
-                }
-            }
-        }
-        // Checked on every pass — not only on idle timeouts — so a
-        // client that keeps bytes flowing (blank-line keep-alives, a
-        // steady drip) cannot dodge the deadline and camp on a handler
-        // slot without ever authenticating.
-        if tenant.is_none() && opened.elapsed() >= shared.auth_deadline {
-            let _ = writer
-                .write_all(proto::frame_error(401, "unauthorized", "auth deadline").as_bytes());
-            return Ok(());
-        }
+    // While draining, the connection is left open until the drain
+    // deadline: records still in flight from the client must land.
+    while !(shared.stopping() && shared.past_drain_deadline()) {
         // On a read timeout the partial line (if any) stays in `line`
         // and the next pass keeps appending — no torn records. The
-        // `take` bounds what a newline-free stream can accumulate:
-        // past MAX_LINE_BYTES the line is rejected and the connection
-        // closed instead of buffering without bound.
+        // `take` bounds what a newline-free stream can accumulate: past
+        // MAX_LINE_BYTES the read returns and `on_line` rejects it.
         let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
-        match (&mut reader).take(budget).read_line(&mut line) {
+        let flow = match (&mut reader).take(budget).read_line(&mut line) {
             Ok(0) => break, // EOF: client is done, summarize and close
             Ok(_) => {
-                if line.len() > MAX_LINE_BYTES && !line.ends_with('\n') {
-                    if let Some(t) = &tenant {
-                        flush_all(
-                            &mut pending,
-                            &mut conn,
-                            &mut consecutive_shed,
-                            t,
-                            shared,
-                            &mut writer,
-                        );
-                    }
-                    let _ = writer.write_all(
-                        proto::frame_error(400, "overlong", "line exceeds 64 KiB").as_bytes(),
-                    );
-                    return Ok(());
-                }
+                let flow = conn.on_line(&line);
+                line.clear();
+                flow
             }
             Err(e)
                 if matches!(
@@ -725,425 +624,352 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                // The client went idle: flush whatever it has pending
-                // rather than holding its acks for a batch that may
-                // never fill. While draining, the connection itself is
-                // left open until the drain deadline (checked at the
-                // top of the loop): records still in flight from the
-                // client must land.
-                if pending.total > 0 {
-                    if let Some(t) = &tenant {
-                        if !flush_all(
-                            &mut pending,
-                            &mut conn,
-                            &mut consecutive_shed,
-                            t,
-                            shared,
-                            &mut writer,
-                        ) {
-                            break 'conn;
-                        }
-                    }
-                }
-                continue;
+                conn.on_idle()
             }
             Err(_) => break,
+        };
+        match flow {
+            Flow::Continue => {}
+            Flow::Finish => break,
+            Flow::Close => return Ok(()),
         }
+    }
+    conn.finish();
+    Ok(())
+}
 
+/// One client connection as a state machine, independent of the socket:
+/// it is fed whole lines ([`Conn::on_line`]) and read timeouts
+/// ([`Conn::on_idle`]), writes protocol frames to `writer`, and ends
+/// with [`Conn::finish`]. *Unauthenticated* until a `HELLO` names a
+/// tenant, then *streaming* — admitted records park in per-partition
+/// micro-batches and are settled (accepted / shed / refused) when a
+/// batch flushes.
+struct Conn<'a, W: Write> {
+    shared: &'a Shared,
+    writer: W,
+    opened: Instant,
+    tenant: Option<Arc<TenantHandle>>,
+    default_system: String,
+    counts: ConnCounts,
+    consecutive_rejected: u64,
+    consecutive_shed: u64,
+    pending: Pending,
+}
+
+impl<'a, W: Write> Conn<'a, W> {
+    fn new(shared: &'a Shared, writer: W) -> Self {
+        Conn {
+            shared,
+            writer,
+            opened: Instant::now(),
+            tenant: None,
+            default_system: String::new(),
+            counts: ConnCounts::default(),
+            consecutive_rejected: 0,
+            consecutive_shed: 0,
+            pending: Pending::new(shared.producer.partitions()),
+        }
+    }
+
+    fn reply(&mut self, frame: String) {
+        let _ = self.writer.write_all(frame.as_bytes());
+    }
+
+    /// Moves every counter that tracks `kind` by `n`: this connection's
+    /// (echoed in the summary frame), the daemon's (with its telemetry
+    /// mirror), and the authenticated tenant's.
+    fn tally(&mut self, kind: Outcome, n: u64) {
+        let totals = &self.shared.totals;
+        let tenant = self.tenant.as_deref();
+        let (mine, total, theirs) = match kind {
+            Outcome::Accepted => (
+                &mut self.counts.accepted,
+                &totals.accepted,
+                tenant.map(|t| &t.accepted),
+            ),
+            Outcome::Rejected => (
+                &mut self.counts.rejected,
+                &totals.rejected,
+                tenant.map(|t| &t.rejected),
+            ),
+            Outcome::Shed => (&mut self.counts.shed, &totals.shed, tenant.map(|t| &t.shed)),
+            Outcome::ParseError => (
+                &mut self.counts.parse_errors,
+                &totals.parse_errors,
+                tenant.map(|t| &t.parse_errors),
+            ),
+        };
+        *mine += n;
+        total.add(n);
+        if let Some(counter) = theirs {
+            counter.add(n);
+        }
+    }
+
+    /// A connection must authenticate within the budget or be closed —
+    /// checked on every event, not only on idle timeouts, so a client
+    /// that keeps bytes flowing (blank-line keep-alives, a steady drip)
+    /// cannot dodge the deadline and camp on a handler slot.
+    fn auth_expired(&mut self) -> bool {
+        let expired = self.tenant.is_none() && self.opened.elapsed() >= self.shared.auth_deadline;
+        if expired {
+            self.reply(proto::frame_error(401, "unauthorized", "auth deadline"));
+        }
+        expired
+    }
+
+    /// The client went idle (a read timed out): flush whatever it has
+    /// pending rather than holding its acks for a batch that may never
+    /// fill.
+    fn on_idle(&mut self) -> Flow {
+        if self.auth_expired() {
+            Flow::Close
+        } else if self.flush_all() {
+            Flow::Continue
+        } else {
+            Flow::Finish
+        }
+    }
+
+    /// One line off the wire (terminator included; a line cut short by
+    /// the 64 KiB budget or by EOF has none).
+    fn on_line(&mut self, line: &str) -> Flow {
+        let flow = self.settle_line(line);
+        // Deadline-bound the micro-batches before the loop blocks on the
+        // next read: a trickling client's records must not sit
+        // unacknowledged behind a batch that never fills.
+        if flow == Flow::Continue
+            && self.pending.stale(self.shared.ingest_batch_deadline)
+            && !self.flush_all()
+        {
+            return Flow::Finish;
+        }
+        flow
+    }
+
+    fn settle_line(&mut self, line: &str) -> Flow {
+        if self.auth_expired() {
+            return Flow::Close;
+        }
+        if line.len() > MAX_LINE_BYTES && !line.ends_with('\n') {
+            self.flush_all();
+            self.reply(proto::frame_error(400, "overlong", "line exceeds 64 KiB"));
+            return Flow::Close;
+        }
         // `ingest.parse` fault point: panics escape to the handler's
         // isolation layer; transient errors surface as parse failures.
-        let injected_parse_error = match faults::inject(points::INGEST_PARSE) {
+        let parsed = match faults::inject(points::INGEST_PARSE) {
             Some(Fault::Panic) => panic!("{PANIC_MARKER}: ingest.parse"),
-            Some(Fault::TransientError) => true,
+            Some(Fault::TransientError) => Err("injected parse fault".to_string()),
             Some(Fault::Latency(d)) => {
                 thread::sleep(d);
-                false
+                proto::parse_line(line, &self.default_system)
             }
-            Some(Fault::CorruptScore) | None => false,
+            Some(Fault::CorruptScore) | None => proto::parse_line(line, &self.default_system),
         };
-        let parsed = if injected_parse_error {
-            Err("injected parse fault".to_string())
-        } else {
-            proto::parse_line(&line, &default_system)
-        };
-        line.clear();
-
         match parsed {
-            Err(_) if tenant.is_none() => {
+            Err(_) if self.tenant.is_none() => {
                 // Unauthenticated garbage is an auth failure, not a
                 // parse statistic: close without letting anonymous input
                 // inflate the counters.
-                let _ = writer
-                    .write_all(proto::frame_error(401, "unauthorized", "HELLO first").as_bytes());
-                return Ok(());
+                self.reply(proto::frame_error(401, "unauthorized", "HELLO first"));
+                Flow::Close
             }
             Err(detail) => {
-                conn.parse_errors += 1;
-                shared.totals.parse_errors.fetch_add(1, Ordering::Relaxed);
-                shared.m_parse_errors.inc();
-                if let Some(t) = &tenant {
-                    t.parse_errors.inc();
+                self.tally(Outcome::ParseError, 1);
+                if frame_due(self.counts.parse_errors) {
+                    self.reply(proto::frame_error(400, "malformed", &detail));
                 }
-                // Same cadence as the quota/shed paths: the first
-                // malformed line is answered, then one frame per
-                // ERROR_FRAME_EVERY — a garbage flood neither buys a
-                // response per line nor goes permanently unanswered.
-                if conn.parse_errors == 1 || conn.parse_errors.is_multiple_of(ERROR_FRAME_EVERY) {
-                    let _ =
-                        writer.write_all(proto::frame_error(400, "malformed", &detail).as_bytes());
-                }
+                Flow::Continue
             }
-            Ok(ClientLine::Empty) => {}
+            Ok(ClientLine::Empty) => Flow::Continue,
+            Ok(ClientLine::Quit) => Flow::Finish,
             Ok(ClientLine::Hello { token }) => {
                 // Pending records belong to the tenant that admitted
                 // them: land them before the handle can change (or the
                 // connection closes on a bad re-HELLO).
-                if let Some(t) = &tenant {
-                    if !flush_all(
-                        &mut pending,
-                        &mut conn,
-                        &mut consecutive_shed,
-                        t,
-                        shared,
-                        &mut writer,
-                    ) {
-                        break 'conn;
-                    }
+                if !self.flush_all() {
+                    return Flow::Finish;
                 }
-                match shared.tenants.authenticate(&token) {
-                    Some(handle) => {
-                        default_system = handle.name();
-                        let _ = writer.write_all(proto::frame_hello_ok(&default_system).as_bytes());
-                        tenant = Some(handle);
-                    }
-                    None => {
-                        let _ = writer.write_all(
-                            proto::frame_error(401, "unauthorized", "unknown token").as_bytes(),
-                        );
-                        return Ok(());
-                    }
-                }
-            }
-            Ok(ClientLine::Quit) => break,
-            Ok(ClientLine::Record(record)) => {
-                let Some(t) = &tenant else {
-                    let _ = writer.write_all(
-                        proto::frame_error(401, "unauthorized", "HELLO first").as_bytes(),
-                    );
-                    return Ok(());
+                let Some(handle) = self.shared.tenants.authenticate(&token) else {
+                    self.reply(proto::frame_error(401, "unauthorized", "unknown token"));
+                    return Flow::Close;
                 };
-                if t.is_revoked() {
-                    flush_all(
-                        &mut pending,
-                        &mut conn,
-                        &mut consecutive_shed,
-                        t,
-                        shared,
-                        &mut writer,
-                    );
-                    let _ = writer
-                        .write_all(proto::frame_error(401, "revoked", "tenant removed").as_bytes());
-                    return Ok(());
-                }
-                let now = shared.started.elapsed();
-                if !t.admit(now) {
-                    conn.rejected += 1;
-                    consecutive_rejected += 1;
-                    shared.totals.rejected.fetch_add(1, Ordering::Relaxed);
-                    shared.m_rejected.inc();
-                    t.rejected.inc();
-                    if consecutive_rejected == 1
-                        || consecutive_rejected.is_multiple_of(ERROR_FRAME_EVERY)
-                    {
-                        let retry = t.retry_after(now).as_millis() as u64;
-                        let _ = writer.write_all(proto::frame_over_quota(retry).as_bytes());
-                    }
-                    if consecutive_rejected >= shared.quota_disconnect_after {
-                        shared
-                            .totals
-                            .abusive_disconnects
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared.m_abusive.inc();
-                        flush_all(
-                            &mut pending,
-                            &mut conn,
-                            &mut consecutive_shed,
-                            t,
-                            shared,
-                            &mut writer,
-                        );
-                        let _ = writer.write_all(
-                            proto::frame_error(429, "quota abuse", "disconnecting").as_bytes(),
-                        );
-                        return Ok(());
-                    }
-                    if consecutive_rejected >= shared.quota_slow_after {
-                        // Slow-read: stop draining the flood at line rate;
-                        // the client's send window fills and it is paced
-                        // down to the daemon's terms.
-                        thread::sleep(shared.quota_penalty);
-                    }
-                    continue;
-                }
-                consecutive_rejected = 0;
+                self.default_system = handle.name();
+                self.reply(proto::frame_hello_ok(&self.default_system));
+                self.tenant = Some(handle);
+                Flow::Continue
+            }
+            Ok(ClientLine::Record(record)) => self.on_record(record),
+        }
+    }
 
+    fn on_record(&mut self, record: RawLog) -> Flow {
+        enum Admission {
+            Revoked,
+            OverQuota,
+            Routed(usize),
+        }
+        let shared = self.shared;
+        let now = shared.started.elapsed();
+        let admission = match self.tenant.as_deref() {
+            None => {
+                self.reply(proto::frame_error(401, "unauthorized", "HELLO first"));
+                return Flow::Close;
+            }
+            Some(t) if t.is_revoked() => Admission::Revoked,
+            Some(t) if !t.admit(now) => Admission::OverQuota,
+            Some(t) => Admission::Routed(t.route(&record.system)),
+        };
+        match admission {
+            Admission::Revoked => {
+                self.flush_all();
+                self.reply(proto::frame_error(401, "revoked", "tenant removed"));
+                Flow::Close
+            }
+            Admission::OverQuota => {
+                self.tally(Outcome::Rejected, 1);
+                self.consecutive_rejected += 1;
+                if frame_due(self.consecutive_rejected) {
+                    let retry = self
+                        .tenant
+                        .as_deref()
+                        .map_or(0, |t| t.retry_after(now).as_millis());
+                    self.reply(proto::frame_over_quota(retry as u64));
+                }
+                if self.consecutive_rejected >= shared.quota_disconnect_after {
+                    shared.totals.abusive_disconnects.add(1);
+                    self.flush_all();
+                    self.reply(proto::frame_error(429, "quota abuse", "disconnecting"));
+                    return Flow::Close;
+                }
+                if self.consecutive_rejected >= shared.quota_slow_after {
+                    // Slow-read: stop draining the flood at line rate;
+                    // the client's send window fills and it is paced
+                    // down to the daemon's terms.
+                    thread::sleep(shared.quota_penalty);
+                }
+                Flow::Continue
+            }
+            Admission::Routed(partition) => {
+                self.consecutive_rejected = 0;
                 // Admitted: park the record in its partition's
                 // micro-batch. Nothing is acknowledged yet — the
                 // accept/shed/refuse verdict lands when the batch
                 // flushes (size cap here, deadline / idle / connection
                 // exit elsewhere).
-                let partition = t.route(&record.system);
-                pending.push(partition, record);
-                if pending.parts[partition].len() >= shared.ingest_batch
-                    && !flush_partition(
-                        partition,
-                        &mut pending,
-                        &mut conn,
-                        &mut consecutive_shed,
-                        t,
-                        shared,
-                        &mut writer,
-                    )
+                self.pending.push(partition, record);
+                if self.pending.parts[partition].len() >= shared.ingest_batch
+                    && !self.flush_partition(partition)
                 {
-                    break 'conn;
+                    return Flow::Finish;
+                }
+                Flow::Continue
+            }
+        }
+    }
+
+    /// EOF, QUIT, a read error, a closed buffer, or the drain deadline:
+    /// land whatever is still pending so the summary frame counts every
+    /// line the client sent (best-effort when the buffer is already
+    /// closed), then write the summary.
+    fn finish(&mut self) {
+        self.flush_all();
+        self.reply(proto::frame_summary(
+            self.counts.accepted,
+            self.counts.rejected,
+            self.counts.shed,
+            self.counts.parse_errors,
+            self.shared.stopping(),
+        ));
+        let _ = self.writer.flush();
+    }
+
+    /// Flushes every non-empty partition batch of the connection. Returns
+    /// `false` when the buffer is gone and the connection must close.
+    fn flush_all(&mut self) -> bool {
+        (0..self.pending.parts.len()).all(|p| self.flush_partition(p))
+    }
+
+    /// Group-commits one partition's pending micro-batch through the
+    /// ingest handle and settles every record's verdict: accepted
+    /// (durable and enqueued), shed (watermark or full shard), or
+    /// WAL-refused (retryable 503). The ingest-ack latency recorded per
+    /// record is the flush's own elapsed time — the cost of the
+    /// durability ack, which is what the batch amortizes. Returns
+    /// `false` when the buffer is closed and the connection must end.
+    fn flush_partition(&mut self, partition: usize) -> bool {
+        let batch = self.pending.take(partition);
+        if batch.is_empty() {
+            return true;
+        }
+        let shared = self.shared;
+        let total = batch.len();
+        let t0 = Instant::now();
+        let result = if shared.shed_watermark == 0 {
+            // Shedding disabled: exert backpressure by blocking — the
+            // client's stream stalls instead of losing records.
+            shared.producer.send_batch(partition, batch)
+        } else if shared.producer.depth(partition) >= shared.shed_watermark as u64 {
+            // The watermark is re-checked at flush time — the depth read
+            // at parse time would be stale by now, and shedding must
+            // still be decided *before* any append so a shed record is
+            // never persisted.
+            Err((batch, PipelineError::BufferFull { partition }))
+        } else {
+            shared.producer.offer_batch(partition, batch)
+        };
+        // One settle step: the head landed, the rest did not, for `why`.
+        let (landed, refused) = match result {
+            Ok(n) => (n, None),
+            Err((rest, why)) => (total - rest.len(), Some((rest.len() as u64, why))),
+        };
+        if landed > 0 {
+            self.tally(Outcome::Accepted, landed as u64);
+            self.consecutive_shed = 0;
+            let us = t0.elapsed().as_micros() as u64;
+            let tenant_latency = self.tenant.as_ref().map(|t| &t.latency_us);
+            for _ in 0..landed {
+                shared.m_latency.record(us);
+                if let Some(h) = tenant_latency {
+                    h.record(us);
                 }
             }
         }
-    }
-
-    // EOF, QUIT, a read error, or the drain deadline: land whatever is
-    // still pending so the summary frame counts every line the client
-    // sent (best-effort when the buffer is already closed).
-    if pending.total > 0 {
-        if let Some(t) = &tenant {
-            flush_all(
-                &mut pending,
-                &mut conn,
-                &mut consecutive_shed,
-                t,
-                shared,
-                &mut writer,
-            );
-        }
-    }
-
-    let _ = writer.write_all(
-        proto::frame_summary(
-            conn.accepted,
-            conn.rejected,
-            conn.shed,
-            conn.parse_errors,
-            draining || shared.stopping(),
-        )
-        .as_bytes(),
-    );
-    let _ = writer.flush();
-    Ok(())
-}
-
-/// Flushes every non-empty partition batch of the connection. Returns
-/// `false` when the buffer is gone and the connection must close.
-fn flush_all(
-    pending: &mut Pending,
-    conn: &mut ConnCounts,
-    consecutive_shed: &mut u64,
-    t: &TenantHandle,
-    shared: &Shared,
-    writer: &mut TcpStream,
-) -> bool {
-    for partition in 0..pending.parts.len() {
-        if !pending.parts[partition].is_empty()
-            && !flush_partition(
-                partition,
-                pending,
-                conn,
-                consecutive_shed,
-                t,
-                shared,
-                writer,
-            )
-        {
-            return false;
-        }
-    }
-    true
-}
-
-/// Group-commits one partition's pending micro-batch through the
-/// producer and settles every record's verdict: accepted (durable and
-/// enqueued), shed (watermark or full shard), or WAL-refused
-/// (retryable 503). The ingest-ack latency recorded per record is the
-/// flush's own elapsed time — the cost of the durability ack, which is
-/// what the batch amortizes. Returns `false` when the buffer is closed
-/// and the connection must end.
-fn flush_partition(
-    partition: usize,
-    pending: &mut Pending,
-    conn: &mut ConnCounts,
-    consecutive_shed: &mut u64,
-    t: &TenantHandle,
-    shared: &Shared,
-    writer: &mut TcpStream,
-) -> bool {
-    let batch = pending.take(partition);
-    if batch.is_empty() {
-        return true;
-    }
-    let total = batch.len();
-    let t0 = Instant::now();
-    // The shed watermark is re-checked at flush time — the depth read
-    // at parse time would be stale by now, and shedding must still be
-    // decided *before* any append so a shed record is never persisted.
-    if shared.shed_watermark > 0 && shared.producer.depth(partition) >= shared.shed_watermark as u64
-    {
-        shed_n(
-            total as u64,
-            conn,
-            consecutive_shed,
-            t,
-            shared,
-            partition,
-            writer,
-        );
-        return true;
-    }
-    match shared.producer.offer_batch(partition, batch) {
-        Ok(n) => {
-            accepted_n(n as u64, conn, t, shared, t0);
-            *consecutive_shed = 0;
-            true
-        }
-        Err((rest, PipelineError::BufferFull { .. })) => {
-            let head = (total - rest.len()) as u64;
-            if head > 0 {
-                accepted_n(head, conn, t, shared, t0);
-                *consecutive_shed = 0;
-            }
-            if shared.shed_watermark > 0 {
-                shed_n(
-                    rest.len() as u64,
-                    conn,
-                    consecutive_shed,
-                    t,
-                    shared,
-                    partition,
-                    writer,
-                );
+        match refused {
+            None => true,
+            Some((n, PipelineError::BufferFull { .. })) => {
+                let before = self.consecutive_shed;
+                self.consecutive_shed += n;
+                self.tally(Outcome::Shed, n);
+                // Same cadence as the per-line paths: the first shed in
+                // a run is answered, then one frame per ERROR_FRAME_EVERY
+                // — a batch emits at most one frame per flush either way.
+                if before == 0
+                    || self.consecutive_shed / ERROR_FRAME_EVERY > before / ERROR_FRAME_EVERY
+                {
+                    self.reply(proto::frame_shed(partition));
+                }
                 true
-            } else {
-                // Shedding disabled: exert backpressure by blocking —
-                // the client's stream stalls instead of losing records.
-                let rest_total = rest.len();
-                match shared.producer.send_batch(partition, rest) {
-                    Ok(n) => {
-                        accepted_n(n as u64, conn, t, shared, t0);
-                        *consecutive_shed = 0;
-                        true
-                    }
-                    Err((rest, PipelineError::WalAppend { partition })) => {
-                        let head = (rest_total - rest.len()) as u64;
-                        if head > 0 {
-                            accepted_n(head, conn, t, shared, t0);
-                            *consecutive_shed = 0;
-                        }
-                        wal_refused_n(rest.len() as u64, conn, t, shared, partition, writer);
-                        true
-                    }
-                    Err((rest, _)) => {
-                        let head = (rest_total - rest.len()) as u64;
-                        if head > 0 {
-                            accepted_n(head, conn, t, shared, t0);
-                        }
-                        let _ = writer.write_all(proto::frame_closed(partition).as_bytes());
-                        false
-                    }
-                }
+            }
+            Some((n, PipelineError::WalAppend { .. })) => {
+                // Transient durable-append failure: the durable prefix
+                // is accepted, the unwritten suffix was refused *before*
+                // anything was logged — one retryable 503 naming the
+                // shard, and the connection survives. Counted with the
+                // shed bucket: like a shed record, these were
+                // acknowledged as *not* ingested and the client owns
+                // the retry.
+                self.tally(Outcome::Shed, n);
+                self.reply(proto::frame_log_append(partition));
+                true
+            }
+            Some(_) => {
+                self.reply(proto::frame_closed(partition));
+                false
             }
         }
-        Err((rest, PipelineError::WalAppend { partition })) => {
-            // Transient durable-append failure: the durable prefix is
-            // accepted, the unwritten suffix was refused *before*
-            // anything was logged — the client may simply retry it and
-            // the connection survives.
-            let head = (total - rest.len()) as u64;
-            if head > 0 {
-                accepted_n(head, conn, t, shared, t0);
-                *consecutive_shed = 0;
-            }
-            wal_refused_n(rest.len() as u64, conn, t, shared, partition, writer);
-            true
-        }
-        Err((rest, _)) => {
-            let head = (total - rest.len()) as u64;
-            if head > 0 {
-                accepted_n(head, conn, t, shared, t0);
-            }
-            let _ = writer.write_all(proto::frame_closed(partition).as_bytes());
-            false
-        }
-    }
-}
-
-fn accepted_n(n: u64, conn: &mut ConnCounts, t: &TenantHandle, shared: &Shared, t0: Instant) {
-    if n == 0 {
-        return;
-    }
-    conn.accepted += n;
-    shared.totals.accepted.fetch_add(n, Ordering::Relaxed);
-    shared.m_accepted.add(n);
-    t.accepted.add(n);
-    let us = t0.elapsed().as_micros() as u64;
-    for _ in 0..n {
-        shared.m_latency.record(us);
-        t.latency_us.record(us);
-    }
-}
-
-/// A transient write-ahead-log append failure: these records were not
-/// made durable and are refused with one retryable 503 naming the
-/// shard. Counted with the shed bucket — like a shed record, they were
-/// acknowledged as *not* ingested and the client owns the retry.
-fn wal_refused_n(
-    n: u64,
-    conn: &mut ConnCounts,
-    t: &TenantHandle,
-    shared: &Shared,
-    partition: usize,
-    writer: &mut TcpStream,
-) {
-    if n == 0 {
-        return;
-    }
-    conn.shed += n;
-    shared.totals.shed.fetch_add(n, Ordering::Relaxed);
-    shared.m_shed.add(n);
-    t.shed.add(n);
-    let _ = writer.write_all(proto::frame_log_append(partition).as_bytes());
-}
-
-fn shed_n(
-    n: u64,
-    conn: &mut ConnCounts,
-    consecutive: &mut u64,
-    t: &TenantHandle,
-    shared: &Shared,
-    partition: usize,
-    writer: &mut TcpStream,
-) {
-    if n == 0 {
-        return;
-    }
-    let before = *consecutive;
-    conn.shed += n;
-    *consecutive += n;
-    shared.totals.shed.fetch_add(n, Ordering::Relaxed);
-    shared.m_shed.add(n);
-    t.shed.add(n);
-    // Same cadence as before batching: the first shed in a run is
-    // answered, then one frame per ERROR_FRAME_EVERY — a batch emits at
-    // most one frame per flush either way.
-    if before == 0 || (*consecutive / ERROR_FRAME_EVERY) > (before / ERROR_FRAME_EVERY) {
-        let _ = writer.write_all(proto::frame_shed(partition).as_bytes());
     }
 }
 
@@ -1180,5 +1006,411 @@ fn reload_loop(path: PathBuf, poll: Duration, shared: Arc<Shared>) {
             }
         }
         last_text = Some(text);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The connection state machine, driven without sockets: a
+    //! `Conn<Vec<u8>>` over a real in-memory `start_pipeline`.
+
+    use super::*;
+    use crate::tenants::parse_tenants;
+    use logsynergy_lei::LeiConfig;
+    use logsynergy_loggen::SystemId;
+    use logsynergy_pipeline::MemorySink;
+    use std::sync::{Condvar, Mutex as StdMutex};
+
+    const VOCAB: [&str; 4] = [
+        "session opened for user root",
+        "packet responder terminating early",
+        "cache eviction pass completed",
+        "heartbeat missed twice across consecutive intervals",
+    ];
+
+    /// A table scorer behind a gate: open (the default) it scores and
+    /// returns; shut, the first model-tier call parks the worker until
+    /// the gate opens — which is how a test holds a shard's queue full.
+    #[derive(Clone, Default)]
+    struct GateScorer(Arc<(StdMutex<Gate>, Condvar)>);
+
+    #[derive(Default)]
+    struct Gate {
+        shut: bool,
+        parked: bool,
+    }
+
+    impl GateScorer {
+        fn set_shut(&self, shut: bool) {
+            self.0 .0.lock().unwrap().shut = shut;
+            self.0 .1.notify_all();
+        }
+
+        fn wait_until_parked(&self) {
+            let (gate, cv) = &*self.0;
+            let _parked = cv.wait_while(gate.lock().unwrap(), |g| !g.parked).unwrap();
+        }
+    }
+
+    impl SequenceScorer for GateScorer {
+        fn score(&self, events: &[u32], table: &[Vec<f32>]) -> f32 {
+            let (gate, cv) = &*self.0;
+            let mut g = gate.lock().unwrap();
+            g.parked = g.shut;
+            cv.notify_all();
+            drop(cv.wait_while(g, |g| g.shut).unwrap());
+            let acc: f32 = events.iter().flat_map(|&e| &table[e as usize]).sum();
+            (acc - acc.floor()).clamp(0.0, 1.0)
+        }
+    }
+
+    /// A daemon's shared state over a running pipeline, minus the
+    /// sockets and threads.
+    struct Rig {
+        shared: Shared,
+        pool: DetectionPool,
+        scorer: GateScorer,
+    }
+
+    impl Rig {
+        fn new(config: ServeConfig, tenants: &str) -> Rig {
+            let mut vectorizer = EventVectorizer::new(SystemId::SystemB, 8, LeiConfig::default());
+            vectorizer.warm_start(VOCAB.iter().copied());
+            let scorer = GateScorer::default();
+            let RunningPipeline { pool, producer, .. } = start_pipeline(
+                vectorizer,
+                scorer.clone(),
+                MemorySink::new(),
+                &config.pipeline,
+            )
+            .expect("pipeline starts");
+            let specs = parse_tenants(tenants).expect("tenants parse");
+            Rig {
+                shared: Shared::new(&config, specs, producer),
+                pool,
+                scorer,
+            }
+        }
+
+        fn conn(&self) -> Conn<'_, Vec<u8>> {
+            Conn::new(&self.shared, Vec::new())
+        }
+
+        /// Drops the ingest handle and joins the workers.
+        fn done(self) -> PipelineSummary {
+            drop(self.shared);
+            self.pool.join()
+        }
+    }
+
+    fn one_partition() -> PipelineConfig {
+        PipelineConfig {
+            partitions: 1,
+            ..PipelineConfig::default()
+        }
+    }
+
+    fn record(i: usize) -> String {
+        format!(
+            "{{\"system\":\"web\",\"timestamp\":{i},\"message\":\"{}\"}}\n",
+            VOCAB[i % VOCAB.len()]
+        )
+    }
+
+    /// Feeds `n` records and asserts the connection keeps streaming.
+    fn feed(conn: &mut Conn<'_, Vec<u8>>, range: std::ops::Range<usize>) {
+        for i in range {
+            assert_eq!(conn.on_line(&record(i)), Flow::Continue, "record {i}");
+        }
+    }
+
+    /// How many of the frames written so far carry `"error":"<error>"`.
+    fn frames(conn: &Conn<'_, Vec<u8>>, error: &str) -> usize {
+        let needle = format!("\"error\":\"{error}\"");
+        let text = std::str::from_utf8(&conn.writer).unwrap();
+        text.lines().filter(|l| l.contains(&needle)).count()
+    }
+
+    /// The last frame written, newline included (as `proto` builds it).
+    fn last_frame<'c>(conn: &'c Conn<'_, Vec<u8>>) -> &'c str {
+        let text = std::str::from_utf8(&conn.writer).unwrap();
+        text.split_inclusive('\n').next_back().expect("a frame")
+    }
+
+    #[test]
+    fn rehello_flushes_pending_under_the_tenant_that_admitted_them() {
+        let rig = Rig::new(
+            ServeConfig {
+                pipeline: one_partition(),
+                ..ServeConfig::default()
+            },
+            "tenant rehello-a token=a\ntenant rehello-b token=b",
+        );
+        let (a, b) = (
+            rig.shared.tenants.authenticate("a").unwrap(),
+            rig.shared.tenants.authenticate("b").unwrap(),
+        );
+        let (a0, b0) = (a.accepted.get(), b.accepted.get());
+        let mut conn = rig.conn();
+        assert_eq!(conn.on_line("HELLO a\n"), Flow::Continue);
+        feed(&mut conn, 0..3);
+        assert_eq!(rig.shared.ingest_stats().accepted, 0, "parked, not acked");
+        assert_eq!(conn.on_line("HELLO b\n"), Flow::Continue);
+        assert_eq!(
+            rig.shared.ingest_stats().accepted,
+            3,
+            "landed at the switch"
+        );
+        feed(&mut conn, 3..5);
+        conn.finish();
+        if telemetry::enabled() {
+            assert_eq!(a.accepted.get() - a0, 3, "the first three are tenant a's");
+            assert_eq!(b.accepted.get() - b0, 2);
+        }
+        assert_eq!(last_frame(&conn), proto::frame_summary(5, 0, 0, 0, false));
+        drop(conn);
+        assert_eq!(rig.done().logs, 5);
+    }
+
+    #[test]
+    fn revoked_tenant_lands_its_pending_batch_then_gets_401() {
+        let rig = Rig::new(
+            ServeConfig {
+                pipeline: one_partition(),
+                ..ServeConfig::default()
+            },
+            "tenant revoked-a token=a\ntenant revoked-keep token=k",
+        );
+        let mut conn = rig.conn();
+        assert_eq!(conn.on_line("HELLO a\n"), Flow::Continue);
+        feed(&mut conn, 0..2);
+        rig.shared
+            .tenants
+            .reload(parse_tenants("tenant revoked-keep token=k").unwrap());
+        assert_eq!(conn.on_line(&record(2)), Flow::Close);
+        assert_eq!(
+            rig.shared.ingest_stats().accepted,
+            2,
+            "what was admitted before the revocation still lands"
+        );
+        assert_eq!(
+            last_frame(&conn),
+            proto::frame_error(401, "revoked", "tenant removed")
+        );
+        drop(conn);
+        assert_eq!(rig.done().logs, 2);
+    }
+
+    #[test]
+    fn over_quota_frames_come_on_the_1st_and_every_1024th_refusal() {
+        let rig = Rig::new(
+            ServeConfig {
+                // No slow-read sleeps, no abuse disconnect: only the
+                // frame cadence is under test.
+                quota_slow_after: u64::MAX,
+                pipeline: one_partition(),
+                ..ServeConfig::default()
+            },
+            "tenant cadence-q token=q rate=0.000001 burst=1",
+        );
+        let mut conn = rig.conn();
+        assert_eq!(conn.on_line("HELLO q\n"), Flow::Continue);
+        feed(&mut conn, 0..1); // takes the bucket's only token
+        for (refusals, expected) in [(1, 1), (1022, 1), (1, 2), (1023, 2), (1, 3)] {
+            feed(&mut conn, 0..refusals);
+            assert_eq!(frames(&conn, "over quota"), expected);
+        }
+        conn.finish();
+        assert_eq!(
+            last_frame(&conn),
+            proto::frame_summary(1, 2048, 0, 0, false)
+        );
+        drop(conn);
+        assert_eq!(rig.done().logs, 1);
+    }
+
+    #[test]
+    fn shed_frames_come_on_the_1st_and_every_1024th_refusal() {
+        let rig = Rig::new(
+            ServeConfig {
+                ingest_batch: 1,
+                pipeline: PipelineConfig {
+                    partition_capacity: 4,
+                    shed_watermark: 4,
+                    ..one_partition()
+                },
+                ..ServeConfig::default()
+            },
+            "tenant cadence-s token=s",
+        );
+        let mut conn = rig.conn();
+        assert_eq!(conn.on_line("HELLO s\n"), Flow::Continue);
+        // Park the worker inside its first model call (ten records make
+        // the first window), then fill the four-deep shard behind it.
+        rig.scorer.set_shut(true);
+        for i in 0..10 {
+            while rig.shared.producer.depth(0) > 0 {
+                thread::yield_now(); // the worker is still pulling
+            }
+            feed(&mut conn, i..i + 1);
+        }
+        rig.scorer.wait_until_parked();
+        feed(&mut conn, 10..14);
+        assert_eq!(rig.shared.ingest_stats().accepted, 14);
+        assert_eq!(frames(&conn, "shedding"), 0);
+        for (refusals, expected) in [(1, 1), (1022, 1), (1, 2), (1023, 2), (1, 3)] {
+            feed(&mut conn, 0..refusals);
+            assert_eq!(frames(&conn, "shedding"), expected);
+        }
+        assert_eq!(rig.shared.ingest_stats().shed, 2048);
+        rig.scorer.set_shut(false);
+        conn.finish();
+        drop(conn);
+        assert_eq!(rig.done().logs, 14, "a shed record never reaches a worker");
+    }
+
+    #[test]
+    fn quota_abuse_disconnect_flushes_what_was_pending() {
+        let rig = Rig::new(
+            ServeConfig {
+                quota_slow_after: u64::MAX,
+                quota_disconnect_after: 3,
+                pipeline: one_partition(),
+                ..ServeConfig::default()
+            },
+            "tenant abuse-q token=q rate=0.000001 burst=2",
+        );
+        let mut conn = rig.conn();
+        assert_eq!(conn.on_line("HELLO q\n"), Flow::Continue);
+        feed(&mut conn, 0..4); // two admitted and parked, two refused
+        assert_eq!(rig.shared.ingest_stats().accepted, 0);
+        assert_eq!(
+            conn.on_line(&record(4)),
+            Flow::Close,
+            "third refusal in a row"
+        );
+        let stats = rig.shared.ingest_stats();
+        assert_eq!((stats.accepted, stats.rejected), (2, 3));
+        assert_eq!(stats.abusive_disconnects, 1);
+        assert_eq!(
+            last_frame(&conn),
+            proto::frame_error(429, "quota abuse", "disconnecting")
+        );
+        drop(conn);
+        assert_eq!(rig.done().logs, 2);
+    }
+
+    #[test]
+    fn idle_flushes_a_batch_that_never_filled() {
+        let rig = Rig::new(
+            ServeConfig {
+                // Out of reach: only the idle tick may flush.
+                ingest_batch_deadline: Duration::from_secs(3600),
+                pipeline: one_partition(),
+                ..ServeConfig::default()
+            },
+            "tenant idle-t token=t",
+        );
+        let mut conn = rig.conn();
+        assert_eq!(conn.on_line("HELLO t\n"), Flow::Continue);
+        feed(&mut conn, 0..3);
+        assert_eq!(rig.shared.ingest_stats().accepted, 0);
+        assert_eq!(conn.on_idle(), Flow::Continue);
+        assert_eq!(rig.shared.ingest_stats().accepted, 3);
+        drop(conn);
+        assert_eq!(rig.done().logs, 3);
+    }
+
+    #[test]
+    fn summary_counts_add_up_to_the_lines_fed() {
+        let rig = Rig::new(
+            ServeConfig {
+                quota_slow_after: u64::MAX,
+                pipeline: one_partition(),
+                ..ServeConfig::default()
+            },
+            "tenant summary-t token=t rate=0.000001 burst=7",
+        );
+        let mut conn = rig.conn();
+        // Anonymous input is answered and closed without being counted.
+        assert_eq!(conn.on_line("not a hello\n"), Flow::Close);
+        assert_eq!(rig.shared.ingest_stats(), IngestStats::default());
+        let mut conn = rig.conn();
+        assert_eq!(conn.on_line("HELLO t\n"), Flow::Continue);
+        feed(&mut conn, 0..10); // 7 admitted, 3 over quota
+        for garbage in ["{\"message\":", "\u{1}\u{2}\n", "{}\n"] {
+            assert_eq!(conn.on_line(garbage), Flow::Continue);
+        }
+        assert_eq!(
+            conn.on_line("\n"),
+            Flow::Continue,
+            "blank lines are not records"
+        );
+        assert_eq!(conn.on_line("QUIT\n"), Flow::Finish);
+        conn.finish();
+        // 7 + 3 + 0 + 3 == the 13 record-or-garbage lines fed: each
+        // lands in exactly one count.
+        assert_eq!(last_frame(&conn), proto::frame_summary(7, 3, 0, 3, false));
+        drop(conn);
+        assert_eq!(rig.done().logs, 7);
+    }
+
+    /// A transient log-append failure mid-batch: the prefix the log had
+    /// already flushed is accepted, the rest is refused with one
+    /// retryable 503, and the connection keeps streaming.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn wal_append_failure_mid_batch_accepts_the_prefix_and_survives() {
+        use logsynergy::faults::{test_lock, FaultPlan, FaultSpec};
+        use logsynergy_pipeline::WalOptions;
+
+        let _serial = test_lock();
+        let dir = std::env::temp_dir().join(format!("lswal-conn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rig = Rig::new(
+            ServeConfig {
+                ingest_batch: 16,
+                pipeline: PipelineConfig {
+                    // A lazy drain keeps the worker's cursor commits
+                    // (which consult `wal.append` too) out of the feed.
+                    batch_windows: 1024,
+                    batch_deadline: Duration::from_millis(300),
+                    // Tiny segments: the batch straddles rolls, so part
+                    // of it is flushed before the fault lands.
+                    wal: Some(WalOptions {
+                        segment_max_bytes: 256,
+                        ..WalOptions::at(dir.clone())
+                    }),
+                    ..one_partition()
+                },
+                ..ServeConfig::default()
+            },
+            "tenant walfault-t token=t",
+        );
+        let mut conn = rig.conn();
+        assert_eq!(conn.on_line("HELLO t\n"), Flow::Continue);
+        let guard = FaultPlan::seeded(5)
+            .arm(
+                points::WAL_APPEND,
+                FaultSpec::transient().after(10).max_fires(1),
+            )
+            .install();
+        feed(&mut conn, 0..16);
+        assert_eq!(
+            guard.fires(points::WAL_APPEND),
+            1,
+            "the armed fault must fire"
+        );
+        drop(guard);
+        let stats = rig.shared.ingest_stats();
+        assert!(stats.accepted > 0 && stats.accepted <= 10, "{stats:?}");
+        assert_eq!(stats.accepted + stats.shed, 16, "{stats:?}");
+        assert_eq!(frames(&conn, "log append"), 1);
+        feed(&mut conn, 16..32);
+        assert_eq!(rig.shared.ingest_stats().accepted, stats.accepted + 16);
+        conn.finish();
+        drop(conn);
+        assert_eq!(rig.done().logs, stats.accepted + 16);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,10 +10,13 @@
 //! enforces per-tenant token-bucket quotas and fair-share shard routing
 //! ([`tenants`], [`quota`]), applies the serving pipeline's shed
 //! watermark as client-visible 429/503 NDJSON frames, and feeds
-//! accepted records into the same partitioned [`LogBuffer`] +
+//! accepted records through the same [`start_pipeline`] handle
+//! ([`Ingest`]) into the same partitioned [`LogBuffer`] +
 //! [`DetectionPool`] that the in-process pipeline uses — so a record
 //! ingested over the wire gets the identical verdict it would get
-//! in-process.
+//! in-process. A connection is a socket-free state machine
+//! (unauthenticated → streaming → finished) fed lines and idle ticks by
+//! a read-with-timeout loop.
 //!
 //! Shutdown is a graceful drain ([`Daemon::drain`]): stop accepting,
 //! flush in-flight connections under a budget, disconnect the buffer,
@@ -23,6 +26,8 @@
 //! windows`) is exact. See `docs/ingest.md` for the protocol and
 //! lifecycle.
 //!
+//! [`start_pipeline`]: logsynergy_pipeline::start_pipeline
+//! [`Ingest`]: logsynergy_pipeline::Ingest
 //! [`LogBuffer`]: logsynergy_pipeline::LogBuffer
 //! [`DetectionPool`]: logsynergy_pipeline::service::DetectionPool
 //! [`PipelineSummary`]: logsynergy_pipeline::PipelineSummary

@@ -8,7 +8,9 @@
 use logsynergy::api::Pipeline;
 use logsynergy_lei::LeiConfig;
 use logsynergy_loggen::{datasets, SystemId};
-use logsynergy_pipeline::{run_pipeline, EventVectorizer, MessagingSink, ModelScorer, RawLog};
+use logsynergy_pipeline::{
+    run_pipeline_with, EventVectorizer, MessagingSink, ModelScorer, PipelineConfig, RawLog,
+};
 
 fn main() {
     // ------------------------------------------------- offline training
@@ -54,7 +56,13 @@ fn main() {
     );
 
     let sink = MessagingSink::new();
-    let summary = run_pipeline(source, vectorizer, ModelScorer::new(model), sink.clone());
+    let summary = run_pipeline_with(
+        source,
+        vectorizer,
+        ModelScorer::new(model),
+        sink.clone(),
+        PipelineConfig::default(),
+    );
 
     println!("\npipeline summary:");
     println!("  logs processed     {}", summary.logs);

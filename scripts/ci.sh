@@ -10,6 +10,14 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> benchmark/ compiles against the frozen serving surface"
+# benchmark/ is its own workspace and may not change with the code it
+# measures; checking it here turns a break of the names it imports
+# (LogBuffer, send_many_to, recv_batch, run_pipeline_with, serve::start,
+# the wal module…) into a failure in seconds instead of at the final
+# smoke run.
+cargo check --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test --workspace -q
 

@@ -5,7 +5,9 @@
 use logsynergy::api::Pipeline;
 use logsynergy_lei::LeiConfig;
 use logsynergy_loggen::{datasets, SystemId};
-use logsynergy_pipeline::{run_pipeline, EventVectorizer, MemorySink, ModelScorer, RawLog};
+use logsynergy_pipeline::{
+    run_pipeline_with, EventVectorizer, MemorySink, ModelScorer, PipelineConfig, RawLog,
+};
 
 #[test]
 fn trained_model_serves_live_stream() {
@@ -45,7 +47,13 @@ fn trained_model_serves_live_stream() {
 
     let sink = MemorySink::new();
     let tele_before = logsynergy_telemetry::global().snapshot();
-    let summary = run_pipeline(source, vectorizer, ModelScorer::new(model), sink.clone());
+    let summary = run_pipeline_with(
+        source,
+        vectorizer,
+        ModelScorer::new(model),
+        sink.clone(),
+        PipelineConfig::default(),
+    );
     let tele_after = logsynergy_telemetry::global().snapshot();
 
     assert_eq!(summary.logs as usize, live.len());
