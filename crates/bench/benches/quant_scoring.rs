@@ -27,8 +27,7 @@ use logsynergy_bench::{quick_mode, write_result};
 use logsynergy_lei::LeiConfig;
 use logsynergy_loggen::{datasets, SystemId};
 use logsynergy_pipeline::{
-    run_pipeline_with, EventVectorizer, MemorySink, ModelScorer, PipelineConfig, QuantScorer,
-    RawLog,
+    run_pipeline_with, EventVectorizer, MemorySink, ModelScorer, PipelineConfig, RawLog,
 };
 use serde::Serialize;
 
@@ -136,8 +135,9 @@ fn main() {
         std::hint::black_box(plan.score_windows_with(&mut scratch, &windows, table));
     });
     println!("  fused f32 plan         {fused_wps:>9.0} windows/s");
+    let mut q_scratch = q.scratch();
     let int8_wps = best_wps(reps, windows.len(), || {
-        std::hint::black_box(q.score_windows(&windows, table));
+        std::hint::black_box(q.score_windows_with(&mut q_scratch, &windows, table));
     });
     println!(
         "  int8 ({:<12})     {int8_wps:>9.0} windows/s",
@@ -204,7 +204,8 @@ fn main() {
         .filter(|c| c.len() == 10)
         .take(256)
         .collect();
-    let quant_scorer = QuantScorer::calibrated(&model, &serve_calib, cal.table());
+    let quant_scorer = ModelScorer::quantized(&model, &serve_calib, cal.table())
+        .expect("the warm-start segment calibrates the int8 scorer");
     let f32_scorer = ModelScorer::shared(model.clone());
 
     println!("pipeline sweep ({} live logs per run):", source.len());
@@ -217,23 +218,14 @@ fn main() {
                 ..PipelineConfig::default()
             };
             let sink = MemorySink::new();
-            let s = if quant {
-                run_pipeline_with(
-                    source.clone(),
-                    vectorizer.clone(),
-                    quant_scorer.clone(),
-                    sink,
-                    config,
-                )
-            } else {
-                run_pipeline_with(
-                    source.clone(),
-                    vectorizer.clone(),
-                    f32_scorer.clone(),
-                    sink,
-                    config,
-                )
-            };
+            let scorer = if quant { &quant_scorer } else { &f32_scorer };
+            let s = run_pipeline_with(
+                source.clone(),
+                vectorizer.clone(),
+                scorer.clone(),
+                sink,
+                config,
+            );
             println!(
                 "  {} worker(s), {:<4}  {:>9.0} logs/s",
                 workers,

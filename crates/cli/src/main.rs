@@ -364,7 +364,7 @@ fn cmd_pipeline(a: &Args) -> Result<(), String> {
         ..PipelineConfig::default()
     };
     let sink = MessagingSink::new();
-    let s = if a.flag("quant") {
+    let scorer = if a.flag("quant") {
         #[cfg(feature = "quant")]
         {
             // Calibrate the int8 scorer on the warm-start segment, replayed
@@ -374,13 +374,18 @@ fn cmd_pipeline(a: &Args) -> Result<(), String> {
             let mut cal = vectorizer.clone();
             let ids: Vec<u32> = warm.iter().map(|r| cal.ingest(&r.message)).collect();
             let windows: Vec<&[u32]> = ids.chunks(10).filter(|c| c.len() == 10).take(256).collect();
-            let scorer =
-                logsynergy_pipeline::QuantScorer::calibrated(&model, &windows, cal.table());
+            let scorer = ModelScorer::quantized(&model, &windows, cal.table()).map_err(|e| {
+                format!(
+                    "--quant: {e} ({} calibration windows from {} warm-start logs)",
+                    windows.len(),
+                    warm.len()
+                )
+            })?;
             eprintln!(
                 "serving tier: int8 (calibrated on {} windows)",
                 windows.len()
             );
-            run_pipeline_with(source, vectorizer, scorer, sink.clone(), serving)
+            scorer
         }
         #[cfg(not(feature = "quant"))]
         {
@@ -389,14 +394,9 @@ fn cmd_pipeline(a: &Args) -> Result<(), String> {
                 .into());
         }
     } else {
-        run_pipeline_with(
-            source,
-            vectorizer,
-            ModelScorer::new(model),
-            sink.clone(),
-            serving,
-        )
+        ModelScorer::new(model)
     };
+    let s = run_pipeline_with(source, vectorizer, scorer, sink.clone(), serving);
     println!(
         "logs {}  windows {}  fast-path {:.1}%  cache hits {}  model calls {}  reports {}  {:.0} logs/s",
         s.logs,

@@ -19,7 +19,9 @@
 //! its A-row and B-column, so horizontally concatenating the three weight
 //! matrices is bit-neutral), attention runs per `(batch, head)` against a
 //! single `[T, T]` score scratch instead of tape-wide `[B, T, T]` tensors,
-//! and the MLP applies the GELU fast path in place between its two GEMMs.
+//! and the MLP applies the GELU fast path in place between its two GEMMs
+//! ([`linear_into`] → [`gelu_inplace`] → [`linear_into`] over one reused
+//! hidden buffer).
 //!
 //! Width: the crate is built for baseline x86-64, so a plain loop
 //! autovectorizes to 4-lane SSE2. Two sweeps cost as much as a GEMM at
@@ -145,7 +147,7 @@ fn ln_rows<const R: usize>(rows: &[f32], gamma: &[f32], beta: &[f32], eps: f32, 
 /// In-place row-wise softmax over the last axis — the exact per-row loop
 /// of the tape's `ops::softmax` (max-shift, exp with interleaved sum,
 /// multiply by the reciprocal).
-pub fn softmax_rows(buf: &mut [f32], d: usize) {
+fn softmax_rows(buf: &mut [f32], d: usize) {
     debug_assert_eq!(buf.len() % d.max(1), 0);
     for row in buf.chunks_exact_mut(d) {
         let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -206,7 +208,7 @@ pub fn relu_inplace(buf: &mut [f32]) {
 }
 
 /// In-place `buf[i] = s * buf[i]` — the tape's `ops::scale`.
-pub fn scale_inplace(buf: &mut [f32], s: f32) {
+fn scale_inplace(buf: &mut [f32], s: f32) {
     for o in buf.iter_mut() {
         *o *= s;
     }
@@ -230,13 +232,15 @@ pub fn mean_pool_into(h: &[f32], batch: usize, t: usize, d: usize, out: &mut [f3
     }
 }
 
-/// Reusable scratch for [`attention_sweep`]: per-`(batch, head)` Q/K/V
-/// gathers, the `[T, T]` score matrix, and the head output.
+/// Reusable scratch for [`attention_sweep_strided`]: per-`(batch, head)`
+/// Q/K/V gathers, the `[T, T]` score matrix, and the head output.
 pub struct AttnScratch {
     qh: Vec<f32>,
     kh: Vec<f32>,
     vh: Vec<f32>,
-    scores: Vec<f32>,
+    /// The only buffer the AVX-512 attention of `infer_fast` uses (it reads
+    /// Q/K/V in place).
+    pub(crate) scores: Vec<f32>,
     outh: Vec<f32>,
 }
 
@@ -251,47 +255,20 @@ impl AttnScratch {
             outh: vec![0.0; t * head_dim],
         }
     }
-
-    /// Mutable view of the `[T, T]` score buffer, for the quant-only
-    /// fast attention in [`crate::infer_fast`] (which reads Q/K/V in
-    /// place and needs none of the gather buffers).
-    #[cfg(feature = "quant")]
-    pub(crate) fn scores_mut(&mut self) -> &mut [f32] {
-        &mut self.scores
-    }
 }
 
-/// Fused multi-head attention core: from projected `q`/`k`/`v` (each
-/// `[B·T, D]`, heads interleaved along the feature axis) to the
+/// Fused multi-head attention core: from projected `q`/`k`/`v` (rows
+/// `stride` floats apart, heads interleaved along the feature axis) to the
 /// pre-output-projection concat `[B·T, D]`, without materializing any
 /// batch-wide intermediate. Per `(batch, head)`: gather the head slices,
 /// `scores = scale · (qh · khᵀ)`, row softmax, `outh = scores · vh`,
 /// scatter into `concat` — the exact math of `MultiHeadAttention::forward`
 /// after its Q/K/V projections.
-#[allow(clippy::too_many_arguments)]
-pub fn attention_sweep(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    batch: usize,
-    t: usize,
-    heads: usize,
-    head_dim: usize,
-    scale: f32,
-    concat: &mut [f32],
-    scratch: &mut AttnScratch,
-) {
-    debug_assert_eq!(q.len(), batch * t * heads * head_dim);
-    let stride = heads * head_dim;
-    attention_sweep_strided(
-        q, k, v, stride, batch, t, heads, head_dim, scale, concat, scratch,
-    );
-}
-
-/// [`attention_sweep`] over operands whose rows are `stride` floats apart,
-/// so the heads can be gathered straight out of a fused `[B·T, 3D]` QKV
-/// projection (`q = &qkv[..]`, `k = &qkv[D..]`, `v = &qkv[2 * D..]`,
-/// `stride = 3 * D`) without splitting it first.
+///
+/// The stride lets the heads be gathered straight out of a fused
+/// `[B·T, 3D]` QKV projection (`q = &qkv[..]`, `k = &qkv[D..]`,
+/// `v = &qkv[2 * D..]`, `stride = 3 * D`) without splitting it first;
+/// separate `[B·T, D]` operands pass `stride = D`.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_sweep_strided(
     q: &[f32],
@@ -308,7 +285,6 @@ pub fn attention_sweep_strided(
 ) {
     let d = heads * head_dim;
     debug_assert_eq!(concat.len(), batch * t * d);
-    kernels::stats::record_fused_attention();
     for b in 0..batch {
         for h in 0..heads {
             let off = h * head_dim;
@@ -349,26 +325,12 @@ pub fn attention_sweep_strided(
     }
 }
 
-/// Fused transformer feed-forward: `out = W2 · gelu(W1 · x_norm + b1) + b2`
-/// with the GELU fast path applied in place between the two GEMMs. `hidden`
-/// is `[m, ff]` scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn mlp_sweep(
-    x_norm: &[f32],
-    w1: &[f32],
-    b1: Option<&[f32]>,
-    w2: &[f32],
-    b2: Option<&[f32]>,
-    out: &mut [f32],
-    hidden: &mut [f32],
-    m: usize,
-    d: usize,
-    ff: usize,
-) {
-    kernels::stats::record_fused_mlp();
-    linear_into(x_norm, w1, b1, hidden, m, d, ff);
-    gelu_inplace(hidden);
-    linear_into(hidden, w2, b2, out, m, ff, d);
+/// Accounts one encoder block of a graph-free forward: ticks
+/// `nn.fused.attention` and `nn.fused.mlp` together. The serving forward
+/// calls it once per block whatever numerics run the block, so both read
+/// `layers × forwards`.
+pub fn record_fused_block() {
+    kernels::stats::record_fused_block();
 }
 
 #[cfg(test)]
@@ -511,10 +473,11 @@ mod tests {
         };
         let mut want = vec![0.0; b * t * d];
         let mut scratch = AttnScratch::new(t, dh);
-        attention_sweep(
+        attention_sweep_strided(
             &split(0),
             &split(1),
             &split(2),
+            d,
             b,
             t,
             heads,
@@ -656,10 +619,11 @@ mod tests {
         let mut concat = vec![0.0; m * d];
         let mut scratch = AttnScratch::new(t, dh);
         let scale = 1.0 / (dh as f32).sqrt();
-        attention_sweep(
+        attention_sweep_strided(
             &q,
             &k,
             &v,
+            d,
             b,
             t,
             heads,
@@ -703,17 +667,26 @@ mod tests {
 
         let mut got = vec![0.0; m * d];
         let mut hidden = vec![0.0; m * ff];
-        mlp_sweep(
+        // The serving forward's feed-forward block: GELU in place between
+        // the two GEMMs, over one hidden buffer.
+        linear_into(
             x.data(),
             store.value(l1.w_id()).data(),
             l1.b_id().map(|id| store.value(id).data()),
-            store.value(l2.w_id()).data(),
-            l2.b_id().map(|id| store.value(id).data()),
-            &mut got,
             &mut hidden,
             m,
             d,
             ff,
+        );
+        gelu_inplace(&mut hidden);
+        linear_into(
+            &hidden,
+            store.value(l2.w_id()).data(),
+            l2.b_id().map(|id| store.value(id).data()),
+            &mut got,
+            m,
+            ff,
+            d,
         );
         for (a, w) in got.iter().zip(want.data()) {
             assert_eq!(a.to_bits(), w.to_bits());

@@ -1,107 +1,33 @@
-//! Speed-first f32 primitives for the int8 scoring path (`quant`
-//! feature).
+//! The AVX-512 f32 interludes of the int8 scoring path (`quant` feature).
 //!
 //! [`crate::infer`] is **bitwise-pinned** to the tape: its loops keep the
-//! tape's accumulation order, which locks them to the compiler's baseline
-//! vector width (SSE2 without `target-cpu` flags) and to libm's scalar
-//! `expf` in softmax. Between the int8 GEMMs those f32 interludes — layer
-//! norm, attention, GELU — end up dominating the quantized forward.
+//! tape's accumulation order and libm's scalar `expf` in softmax. Between
+//! the int8 GEMMs those f32 interludes — layer norm, attention, GELU — end
+//! up dominating the quantized forward, so this module trades the pin for
+//! width where that was measured to pay (`docs/kernels.md` has the table):
 //!
-//! This module trades the bitwise pin for width: the same math
-//! re-monomorphized inside `#[target_feature]` wrappers (the matmul-tier
-//! pattern) with explicitly lane-split reductions so the vectorizer may
-//! use the full register width, and a polynomial `exp` in softmax. Values
-//! differ from the pinned primitives in the last ulps; the quantized path
-//! is gated *statistically* (verdict agreement ≥ 99.5%, |ΔF1| ≤ 0.005
-//! vs f32), for which ulp-level drift is noise against the int8 rounding
-//! it already absorbs. The f32 serving default never calls these.
+//! - **layer norm**, AVX-512, `d % 16 == 0`: [`ln_512_x16`], three
+//!   register-resident passes per row (worth 12% of the int8 forward on
+//!   the trained model);
+//! - **attention**, AVX-512, `head_dim % 16 == 0`: [`attn_512_hd16`], Q/K/V
+//!   read in place from the packed QKV rows, polynomial `exp` over the flat
+//!   score buffer (worth 25%).
+//!
+//! Every other tier and shape (AVX2, scalar, non-x86, widths off a multiple
+//! of 16) and GELU on every tier call the pinned [`crate::infer`] function:
+//! wider re-compilations of the same loops measured inside run-to-run noise
+//! of the pinned sweeps on AVX2, and a hand-written AVX-512 GELU 2–3%. Values of the two kernels differ from the
+//! pinned primitives in the last ulps; the quantized path is gated
+//! *statistically* (verdict agreement ≥ 99.5%, |ΔF1| ≤ 0.005 vs f32), for
+//! which ulp-level drift is noise against the int8 rounding it already
+//! absorbs. The f32 serving default never calls these.
+#![cfg_attr(not(target_arch = "x86_64"), allow(dead_code, unused_imports))]
 
 use crate::infer::AttnScratch;
 use crate::kernels::matmul::{tier, Tier};
-use crate::ops::gelu_scalar;
 
-/// Vector-width hint for the lane-split reductions: one AVX-512 register
-/// of f32. Wider than AVX2's natural width, but a 16-lane split still
-/// vectorizes cleanly as two ymm accumulators.
+/// Lanes of the split softmax-sum reduction: one AVX-512 register of f32.
 const LANES: usize = 16;
-
-/// In-place GELU — same `gelu_scalar` polynomial as the pinned
-/// [`crate::infer::gelu_inplace`], vectorized at full width. The AVX-512
-/// tier replaces the rational's division with a Newton-refined `rcp14`
-/// (≈1 ulp drift — below this path's statistical gate).
-pub fn gelu_inplace(buf: &mut [f32]) {
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the tier is only reported when the CPU has the features.
-        Tier::Fma512 => unsafe { gelu_512(buf) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Tier::Fma256 => unsafe { gelu_256(buf) },
-        _ => gelu_body(buf),
-    }
-}
-
-#[inline(always)]
-fn gelu_body(buf: &mut [f32]) {
-    for o in buf.iter_mut() {
-        *o = gelu_scalar(*o);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gelu_256(buf: &mut [f32]) {
-    gelu_body(buf)
-}
-
-/// AVX-512 GELU: the same `fast_tanh` rational as [`gelu_scalar`], but
-/// with the `p / q` division replaced by `rcp14` plus one Newton step
-/// (`vdivps` costs ~3× a multiply in reciprocal throughput and this loop
-/// is division-bound). Accurate to ~1 ulp of the divided form; the tail
-/// (`len % 16`) runs the scalar polynomial.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,fma")]
-unsafe fn gelu_512(buf: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = buf.len();
-    let nfull = n - n % 16;
-    let c = _mm512_set1_ps(0.797_884_6); // sqrt(2/pi)
-    let a3 = _mm512_set1_ps(0.044715);
-    let one = _mm512_set1_ps(1.0);
-    let half = _mm512_set1_ps(0.5);
-    let two = _mm512_set1_ps(2.0);
-    let lim = _mm512_set1_ps(7.998_117);
-    let nlim = _mm512_set1_ps(-7.998_117);
-    let mut i = 0;
-    while i < nfull {
-        let x = _mm512_loadu_ps(buf.as_ptr().add(i));
-        let x2 = _mm512_mul_ps(x, x);
-        // u = C·(x + 0.044715·x³) = C·x·(1 + 0.044715·x²), clamped to
-        // fast_tanh's fitted range.
-        let u = _mm512_mul_ps(_mm512_mul_ps(c, x), _mm512_fmadd_ps(a3, x2, one));
-        let u = _mm512_max_ps(nlim, _mm512_min_ps(lim, u));
-        let u2 = _mm512_mul_ps(u, u);
-        let mut p = _mm512_set1_ps(-2.760_768_4e-16);
-        p = _mm512_fmadd_ps(u2, p, _mm512_set1_ps(2.000_188e-13));
-        p = _mm512_fmadd_ps(u2, p, _mm512_set1_ps(-8.604_672e-11));
-        p = _mm512_fmadd_ps(u2, p, _mm512_set1_ps(5.122_297e-8));
-        p = _mm512_fmadd_ps(u2, p, _mm512_set1_ps(1.485_722_4e-5));
-        p = _mm512_fmadd_ps(u2, p, _mm512_set1_ps(6.372_619_3e-4));
-        p = _mm512_fmadd_ps(u2, p, _mm512_set1_ps(4.893_524_6e-3));
-        let mut q = _mm512_set1_ps(1.198_258_4e-6);
-        q = _mm512_fmadd_ps(u2, q, _mm512_set1_ps(1.185_347_1e-4));
-        q = _mm512_fmadd_ps(u2, q, _mm512_set1_ps(2.268_434_6e-3));
-        q = _mm512_fmadd_ps(u2, q, _mm512_set1_ps(4.893_525e-3));
-        // t = u·p/q via rcp14 refined by one Newton step.
-        let r0 = _mm512_rcp14_ps(q);
-        let r = _mm512_mul_ps(r0, _mm512_fnmadd_ps(q, r0, two));
-        let t = _mm512_mul_ps(_mm512_mul_ps(u, p), r);
-        let out = _mm512_mul_ps(_mm512_mul_ps(half, x), _mm512_add_ps(one, t));
-        _mm512_storeu_ps(buf.as_mut_ptr().add(i), out);
-        i += 16;
-    }
-    gelu_body(&mut buf[nfull..]);
-}
 
 /// Collapses a lane accumulator by pairwise halving — a shuffle/add tree
 /// the vectorizer keeps in registers, instead of the serial 16-add chain
@@ -134,60 +60,20 @@ fn lane_sum(row: &[f32]) -> f32 {
     s
 }
 
-#[inline(always)]
-fn lane_sumsq_dev(row: &[f32], mu: f32) -> f32 {
-    let mut acc = [0.0f32; LANES];
-    let mut it = row.chunks_exact(LANES);
-    for ch in &mut it {
-        for i in 0..LANES {
-            let e = ch[i] - mu;
-            acc[i] += e * e;
-        }
-    }
-    let mut s = halve(acc);
-    for &v in it.remainder() {
-        let e = v - mu;
-        s += e * e;
-    }
-    s
-}
-
-#[inline(always)]
-fn lane_dot(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; LANES];
-    let mut ia = a.chunks_exact(LANES);
-    let mut ib = b.chunks_exact(LANES);
-    for (ca, cb) in (&mut ia).zip(&mut ib) {
-        for i in 0..LANES {
-            acc[i] += ca[i] * cb[i];
-        }
-    }
-    let mut s = halve(acc);
-    for (&x, &y) in ia.remainder().iter().zip(ib.remainder()) {
-        s += x * y;
-    }
-    s
-}
-
-/// Row-wise layer norm with lane-split mean/variance reductions. Rows
-/// whose width is a multiple of 16 (the model's `d_model` always is)
-/// take a hand-written AVX-512 kernel on that tier; everything else runs
-/// the re-monomorphized generic body.
+/// Row-wise layer norm: [`ln_512_x16`] on the AVX-512 tier for rows whose
+/// width is a multiple of 16 (the model's `d_model` always is), the pinned
+/// [`crate::infer::layer_norm_into`] everywhere else.
 pub fn layer_norm_into(src: &[f32], gamma: &[f32], beta: &[f32], eps: f32, dst: &mut [f32]) {
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the tier is only reported when the CPU has the features.
-        Tier::Fma512 if !gamma.is_empty() && gamma.len().is_multiple_of(16) => unsafe {
-            ln_512_x16(src, gamma, beta, eps, dst)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Tier::Fma512 => unsafe { ln_512(src, gamma, beta, eps, dst) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Tier::Fma256 => unsafe { ln_256(src, gamma, beta, eps, dst) },
-        _ => ln_body(src, gamma, beta, eps, dst),
+    #[cfg(target_arch = "x86_64")]
+    if tier() == Tier::Fma512 && !gamma.is_empty() && gamma.len().is_multiple_of(16) {
+        assert_eq!(beta.len(), gamma.len(), "layer norm parameter shape");
+        assert_eq!(src.len(), dst.len(), "layer norm output shape");
+        assert_eq!(src.len() % gamma.len(), 0, "layer norm row width");
+        // SAFETY: the tier is only reported when the CPU has the features,
+        // and the asserts above bound every row the kernel loads and stores.
+        return unsafe { ln_512_x16(src, gamma, beta, eps, dst) };
     }
+    crate::infer::layer_norm_into(src, gamma, beta, eps, dst)
 }
 
 /// AVX-512 layer norm for `d % 16 == 0`: three register-resident passes
@@ -226,34 +112,6 @@ unsafe fn ln_512_x16(src: &[f32], gamma: &[f32], beta: &[f32], eps: f32, dst: &m
             _mm512_storeu_ps(orow.add(c * 16), out);
         }
     }
-}
-
-#[inline(always)]
-fn ln_body(src: &[f32], gamma: &[f32], beta: &[f32], eps: f32, dst: &mut [f32]) {
-    let d = gamma.len();
-    debug_assert_eq!(beta.len(), d);
-    debug_assert_eq!(src.len(), dst.len());
-    debug_assert_eq!(src.len() % d.max(1), 0);
-    for (row, orow) in src.chunks_exact(d).zip(dst.chunks_exact_mut(d)) {
-        let mu = lane_sum(row) / d as f32;
-        let var = lane_sumsq_dev(row, mu) / d as f32;
-        let rst = 1.0 / (var + eps).sqrt();
-        for j in 0..d {
-            orow[j] = (row[j] - mu) * rst * gamma[j] + beta[j];
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn ln_256(src: &[f32], gamma: &[f32], beta: &[f32], eps: f32, dst: &mut [f32]) {
-    ln_body(src, gamma, beta, eps, dst)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,fma")]
-unsafe fn ln_512(src: &[f32], gamma: &[f32], beta: &[f32], eps: f32, dst: &mut [f32]) {
-    ln_body(src, gamma, beta, eps, dst)
 }
 
 /// Polynomial `e^x`: `2^k · e^r` with `k = round(x / ln 2)` and a
@@ -312,38 +170,10 @@ fn softmax_rows_body(buf: &mut [f32], d: usize) {
     }
 }
 
-/// Fused multi-head attention, same dataflow as the pinned
-/// [`crate::infer::attention_sweep`] but with no head gather/scatter at
-/// all: heads are contiguous `head_dim` slices of each `[B·T, D]` row, so
-/// the score pass reads Q/K rows in place (a lane-split dot per
-/// `(ti, tj)` pair — at `T×T×head_dim` these products are far below any
-/// GEMM kernel's profitability threshold, and the per-head `mm`/`mm_nt`
-/// dispatch was most of the pinned version's cost) and the value pass
-/// broadcast-FMAs straight into `concat`. Softmax uses the polynomial
-/// exp. Only the `[T, T]` score buffer of `scratch` is used.
-#[allow(clippy::too_many_arguments)]
-pub fn attention_sweep(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    batch: usize,
-    t: usize,
-    heads: usize,
-    head_dim: usize,
-    scale: f32,
-    concat: &mut [f32],
-    scratch: &mut AttnScratch,
-) {
-    let d = heads * head_dim;
-    attn_dispatch(
-        q, k, v, d, batch, t, heads, head_dim, scale, concat, scratch,
-    );
-}
-
-/// [`attention_sweep`] reading Q/K/V in place from the packed `[B·T, 3D]`
-/// output of the fused QKV projection (`Q | K | V` per row, row stride
-/// `3D`). Skips the three `[B·T, D]` split copies entirely — the score
-/// and value passes are stride-agnostic anyway.
+/// Fused multi-head attention over the packed `[B·T, 3D]` output of the
+/// fused QKV projection (`Q | K | V` per row): [`attn_512_hd16`] on the
+/// AVX-512 tier for head widths that are a multiple of 16 (the model's 16),
+/// the pinned [`crate::infer::attention_sweep_strided`] everywhere else.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_sweep_packed(
     qkv: &[f32],
@@ -357,10 +187,33 @@ pub fn attention_sweep_packed(
 ) {
     let d = heads * head_dim;
     assert_eq!(qkv.len(), batch * t * 3 * d, "packed qkv shape");
-    attn_dispatch(
-        qkv,
-        &qkv[d..],
-        &qkv[2 * d..],
+    assert_eq!(concat.len(), batch * t * d, "attention output shape");
+    let (q, k, v) = (qkv, &qkv[d..], &qkv[2 * d..]);
+    #[cfg(target_arch = "x86_64")]
+    if tier() == Tier::Fma512 && head_dim > 0 && head_dim.is_multiple_of(16) {
+        let scores = &mut scratch.scores[..t * t];
+        // SAFETY: the tier is only reported when the CPU has the features,
+        // and the asserts above bound every row the kernel loads and stores.
+        return unsafe {
+            attn_512_hd16(
+                q,
+                k,
+                v,
+                3 * d,
+                batch,
+                t,
+                heads,
+                head_dim,
+                scale,
+                concat,
+                scores,
+            )
+        };
+    }
+    crate::infer::attention_sweep_strided(
+        q,
+        k,
+        v,
         3 * d,
         batch,
         t,
@@ -370,52 +223,6 @@ pub fn attention_sweep_packed(
         concat,
         scratch,
     );
-}
-
-/// Shared tier dispatch. `q`/`k`/`v` are read with token-row stride `rs`
-/// (they may alias one packed buffer at different base offsets); `concat`
-/// always has row stride `D = heads · head_dim`.
-#[allow(clippy::too_many_arguments)]
-fn attn_dispatch(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    rs: usize,
-    batch: usize,
-    t: usize,
-    heads: usize,
-    head_dim: usize,
-    scale: f32,
-    concat: &mut [f32],
-    scratch: &mut AttnScratch,
-) {
-    crate::kernels::stats::record_fused_attention();
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the tier is only reported when the CPU has the features.
-        Tier::Fma512 if head_dim.is_multiple_of(16) && head_dim > 0 => unsafe {
-            attn_512_hd16(
-                q, k, v, rs, batch, t, heads, head_dim, scale, concat, scratch,
-            )
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Tier::Fma512 => unsafe {
-            attn_512(
-                q, k, v, rs, batch, t, heads, head_dim, scale, concat, scratch,
-            )
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Tier::Fma256 => unsafe {
-            attn_256(
-                q, k, v, rs, batch, t, heads, head_dim, scale, concat, scratch,
-            )
-        },
-        _ => attn_body(
-            q, k, v, rs, batch, t, heads, head_dim, scale, concat, scratch,
-        ),
-    }
 }
 
 /// AVX-512 attention for `head_dim % 16 == 0` (the model's 16): Q/K rows
@@ -437,14 +244,13 @@ unsafe fn attn_512_hd16(
     head_dim: usize,
     scale: f32,
     concat: &mut [f32],
-    s: &mut AttnScratch,
+    scores: &mut [f32],
 ) {
     use std::arch::x86_64::*;
     let d = heads * head_dim;
     debug_assert!(q.len() >= batch * t * rs - (rs - d));
     debug_assert_eq!(concat.len(), batch * t * d);
-    let scores = s.scores_mut();
-    let scores = &mut scores[..t * t];
+    debug_assert_eq!(scores.len(), t * t);
     let nb = head_dim / 16;
     for b in 0..batch {
         for h in 0..heads {
@@ -483,92 +289,6 @@ unsafe fn attn_512_hd16(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn attn_body(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    rs: usize,
-    batch: usize,
-    t: usize,
-    heads: usize,
-    head_dim: usize,
-    scale: f32,
-    concat: &mut [f32],
-    s: &mut AttnScratch,
-) {
-    let d = heads * head_dim;
-    debug_assert!(q.len() >= batch * t * rs - (rs - d));
-    debug_assert_eq!(concat.len(), batch * t * d);
-    let scores = s.scores_mut();
-    let scores = &mut scores[..t * t];
-    for b in 0..batch {
-        for h in 0..heads {
-            let ioff = b * t * rs + h * head_dim;
-            let ooff = b * t * d + h * head_dim;
-            for ti in 0..t {
-                let qrow = &q[ioff + ti * rs..ioff + ti * rs + head_dim];
-                let srow = &mut scores[ti * t..(ti + 1) * t];
-                for (tj, sv) in srow.iter_mut().enumerate() {
-                    let krow = &k[ioff + tj * rs..ioff + tj * rs + head_dim];
-                    *sv = lane_dot(qrow, krow) * scale;
-                }
-            }
-            softmax_rows_body(scores, t);
-            for ti in 0..t {
-                let orow = &mut concat[ooff + ti * d..ooff + ti * d + head_dim];
-                orow.fill(0.0);
-                let srow = &scores[ti * t..(ti + 1) * t];
-                for (tj, &sv) in srow.iter().enumerate() {
-                    let vrow = &v[ioff + tj * rs..ioff + tj * rs + head_dim];
-                    for p in 0..head_dim {
-                        orow[p] += sv * vrow[p];
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn attn_256(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    rs: usize,
-    batch: usize,
-    t: usize,
-    heads: usize,
-    head_dim: usize,
-    scale: f32,
-    concat: &mut [f32],
-    s: &mut AttnScratch,
-) {
-    attn_body(q, k, v, rs, batch, t, heads, head_dim, scale, concat, s)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx512f,avx512vl,fma")]
-unsafe fn attn_512(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    rs: usize,
-    batch: usize,
-    t: usize,
-    heads: usize,
-    head_dim: usize,
-    scale: f32,
-    concat: &mut [f32],
-    s: &mut AttnScratch,
-) {
-    attn_body(q, k, v, rs, batch, t, heads, head_dim, scale, concat, s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,135 +306,87 @@ mod tests {
         assert!(fast_exp(-200.0) < 1e-37);
     }
 
-    #[test]
-    fn layer_norm_tracks_pinned_version() {
-        let d = 64;
-        let src: Vec<f32> = (0..4 * d)
+    /// `[pinned, fast]` layer norm of a `[batch·t, heads·head_dim]` matrix,
+    /// then `[pinned, fast]` attention over a packed QKV of the same shape.
+    fn both(batch: usize, t: usize, heads: usize, head_dim: usize) -> [Vec<f32>; 4] {
+        let d = heads * head_dim;
+        let rows = batch * t;
+        let src: Vec<f32> = (0..rows * d)
             .map(|i| ((i * 13) % 29) as f32 * 0.17 - 2.0)
             .collect();
         let gamma: Vec<f32> = (0..d).map(|i| 1.0 + 0.01 * i as f32).collect();
         let beta: Vec<f32> = (0..d).map(|i| -0.2 + 0.005 * i as f32).collect();
-        let mut pinned = vec![0.0f32; src.len()];
-        let mut fast = vec![0.0f32; src.len()];
-        crate::infer::layer_norm_into(&src, &gamma, &beta, 1e-5, &mut pinned);
-        layer_norm_into(&src, &gamma, &beta, 1e-5, &mut fast);
-        for (a, b) in pinned.iter().zip(&fast) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
+        let mut ln = (vec![0.0f32; rows * d], vec![0.0f32; rows * d]);
+        crate::infer::layer_norm_into(&src, &gamma, &beta, 1e-5, &mut ln.0);
+        layer_norm_into(&src, &gamma, &beta, 1e-5, &mut ln.1);
 
-    #[test]
-    fn attention_tracks_pinned_version() {
-        let (batch, t, heads, head_dim) = (3, 10, 4, 16);
-        let d = heads * head_dim;
-        let gen = |seed: usize| -> Vec<f32> {
-            (0..batch * t * d)
-                .map(|i| (((i * 31 + seed * 7) % 23) as f32 - 11.0) * 0.1)
-                .collect()
-        };
-        let (q, k, v) = (gen(1), gen(2), gen(3));
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        let mut pinned = vec![0.0f32; batch * t * d];
-        let mut fast = vec![0.0f32; batch * t * d];
-        let mut s1 = AttnScratch::new(t, head_dim);
-        let mut s2 = AttnScratch::new(t, head_dim);
-        crate::infer::attention_sweep(
-            &q,
-            &k,
-            &v,
-            batch,
-            t,
-            heads,
-            head_dim,
-            scale,
-            &mut pinned,
-            &mut s1,
-        );
-        attention_sweep(
-            &q, &k, &v, batch, t, heads, head_dim, scale, &mut fast, &mut s2,
-        );
-        for (a, b) in pinned.iter().zip(&fast) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn attention_handles_odd_head_dim_and_t() {
-        // Shapes off the model's 16/10 defaults exercise the lane-split
-        // remainders.
-        let (batch, t, heads, head_dim) = (2, 7, 3, 5);
-        let d = heads * head_dim;
-        let gen = |seed: usize| -> Vec<f32> {
-            (0..batch * t * d)
-                .map(|i| (((i * 17 + seed * 11) % 19) as f32 - 9.0) * 0.13)
-                .collect()
-        };
-        let (q, k, v) = (gen(1), gen(2), gen(3));
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        let mut pinned = vec![0.0f32; batch * t * d];
-        let mut fast = vec![0.0f32; batch * t * d];
-        let mut s1 = AttnScratch::new(t, head_dim);
-        let mut s2 = AttnScratch::new(t, head_dim);
-        crate::infer::attention_sweep(
-            &q,
-            &k,
-            &v,
-            batch,
-            t,
-            heads,
-            head_dim,
-            scale,
-            &mut pinned,
-            &mut s1,
-        );
-        attention_sweep(
-            &q, &k, &v, batch, t, heads, head_dim, scale, &mut fast, &mut s2,
-        );
-        for (a, b) in pinned.iter().zip(&fast) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn packed_qkv_attention_matches_split() {
-        // Same kernel, same accumulation order — only the read stride
-        // differs, so packed and split must agree bitwise.
-        let (batch, t, heads, head_dim) = (2, 10, 4, 16);
-        let d = heads * head_dim;
-        let qkv: Vec<f32> = (0..batch * t * 3 * d)
+        let qkv: Vec<f32> = (0..rows * 3 * d)
             .map(|i| (((i * 29 + 5) % 31) as f32 - 15.0) * 0.11)
             .collect();
-        let mut q = vec![0.0f32; batch * t * d];
-        let mut k = q.clone();
-        let mut v = q.clone();
-        for r in 0..batch * t {
-            q[r * d..(r + 1) * d].copy_from_slice(&qkv[r * 3 * d..r * 3 * d + d]);
-            k[r * d..(r + 1) * d].copy_from_slice(&qkv[r * 3 * d + d..r * 3 * d + 2 * d]);
-            v[r * d..(r + 1) * d].copy_from_slice(&qkv[r * 3 * d + 2 * d..(r + 1) * 3 * d]);
-        }
         let scale = 1.0 / (head_dim as f32).sqrt();
-        let mut split = vec![0.0f32; batch * t * d];
-        let mut packed = vec![0.0f32; batch * t * d];
-        let mut s1 = AttnScratch::new(t, head_dim);
-        let mut s2 = AttnScratch::new(t, head_dim);
-        attention_sweep(
-            &q, &k, &v, batch, t, heads, head_dim, scale, &mut split, &mut s1,
+        let mut attn = (vec![0.0f32; rows * d], vec![0.0f32; rows * d]);
+        let mut scratch = AttnScratch::new(t, head_dim);
+        crate::infer::attention_sweep_strided(
+            &qkv,
+            &qkv[d..],
+            &qkv[2 * d..],
+            3 * d,
+            batch,
+            t,
+            heads,
+            head_dim,
+            scale,
+            &mut attn.0,
+            &mut scratch,
         );
-        attention_sweep_packed(&qkv, batch, t, heads, head_dim, scale, &mut packed, &mut s2);
-        assert_eq!(split, packed);
+        // The AVX-512 kernel works in the score buffer only and must not
+        // read what the pinned sweep (or an unwound forward) left there.
+        scratch.scores.fill(f32::NAN);
+        attention_sweep_packed(
+            &qkv,
+            batch,
+            t,
+            heads,
+            head_dim,
+            scale,
+            &mut attn.1,
+            &mut scratch,
+        );
+        [ln.0, ln.1, attn.0, attn.1]
     }
 
     #[test]
-    fn gelu_tracks_pinned_version() {
-        // Same polynomial; the AVX-512 tier's Newton-refined reciprocal
-        // drifts at most a couple of ulps from the divided form.
-        let mut a: Vec<f32> = (0..1000).map(|i| (i as f32 - 500.0) * 0.02).collect();
-        let mut b = a.clone();
-        crate::infer::gelu_inplace(&mut a);
-        gelu_inplace(&mut b);
-        for (x, y) in a.iter().zip(&b) {
-            let tol = 1e-6 * x.abs().max(1.0);
-            assert!((x - y).abs() <= tol, "{x} vs {y}");
+    fn avx512_kernels_track_the_pinned_sweeps() {
+        // The model's shape: `d_model` 64, four heads of 16, T = 10.
+        let [ln_pinned, ln_fast, attn_pinned, attn_fast] = both(3, 10, 4, 16);
+        for (a, b) in ln_pinned.iter().zip(&ln_fast) {
+            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+        }
+        for (a, b) in attn_pinned.iter().zip(&attn_fast) {
+            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn what_the_avx512_kernels_do_not_cover_is_the_pinned_sweep_bit_for_bit() {
+        // Off the AVX-512 tier (CI pins `LOGSYNERGY_NN_SIMD=avx2` and
+        // `=scalar`) every shape, the model's included, must run the pinned
+        // functions; on it, widths off a multiple of 16 must.
+        let avx512 = tier() == Tier::Fma512;
+        for (batch, t, heads, head_dim) in [(3, 10, 4, 16), (2, 5, 2, 8), (2, 7, 3, 5)] {
+            let [ln_pinned, ln_fast, attn_pinned, attn_fast] = both(batch, t, heads, head_dim);
+            if !(avx512 && (heads * head_dim).is_multiple_of(16)) {
+                assert!(ln_pinned
+                    .iter()
+                    .zip(&ln_fast)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
+            }
+            if !(avx512 && head_dim.is_multiple_of(16)) {
+                assert!(attn_pinned
+                    .iter()
+                    .zip(&attn_fast)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
+            }
         }
     }
 }

@@ -457,12 +457,10 @@ impl PackedWeights {
                 for lane in 0..block {
                     let col = blk * block + lane;
                     let at = base + p2 * block * 2 + lane * 2;
-                    packed[at] = rows[col * k + 2 * p2] as i16;
-                    packed[at + 1] = if 2 * p2 + 1 < k {
-                        rows[col * k + 2 * p2 + 1] as i16
-                    } else {
-                        0
-                    };
+                    // Pairs at and beyond `k` (the `k..kp` padding) are zero.
+                    let at_or_zero = |p: usize| if p < k { rows[col * k + p] as i16 } else { 0 };
+                    packed[at] = at_or_zero(2 * p2);
+                    packed[at + 1] = at_or_zero(2 * p2 + 1);
                 }
             }
         }
@@ -880,9 +878,13 @@ mod tests {
     #[test]
     fn packed_matches_i64_reference_exactly() {
         // Shapes cover full blocks, column tails (n % block ≠ 0, incl. the
-        // scoring head's n = 1), and odd / padded k.
+        // scoring head's n = 1), odd / padded k, and a `k` so far below
+        // its padding that the last block column's pad pairs lie past the
+        // end of the weight rows.
         for &(m, k, n) in &[
             (1, 1, 1),
+            (4, 8, 16),
+            (4, 8, 32),
             (3, 7, 5),
             (8, 64, 192),
             (10, 33, 17),

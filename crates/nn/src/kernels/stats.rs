@@ -75,24 +75,17 @@ pub(crate) fn record_matmul(m: usize, k: usize, n: usize) {
     h.matmul_flops.add(2 * (m as u64) * (k as u64) * (n as u64));
 }
 
-/// Accounts one fused attention sweep (one attention block over one
-/// micro-batch in the graph-free inference engine).
+/// Accounts one encoder block of the graph-free inference engine: one
+/// fused attention sweep and one fused MLP (GELU applied in place between
+/// its two GEMMs, no intermediate tape nodes) over one micro-batch.
 #[inline]
-pub(crate) fn record_fused_attention() {
+pub(crate) fn record_fused_block() {
     if !logsynergy_telemetry::enabled() {
         return;
     }
-    handles().fused_attention.inc();
-}
-
-/// Accounts one fused MLP sweep (feed-forward block with the GELU fast
-/// path applied in place, no intermediate tape nodes).
-#[inline]
-pub(crate) fn record_fused_mlp() {
-    if !logsynergy_telemetry::enabled() {
-        return;
-    }
-    handles().fused_mlp.inc();
+    let h = handles();
+    h.fused_attention.inc();
+    h.fused_mlp.inc();
 }
 
 /// Accounts one int8 GEMM of shape `m×k · k×n` and publishes the int8

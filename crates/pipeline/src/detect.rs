@@ -84,14 +84,27 @@ pub trait SequenceScorer: Send {
     }
 }
 
-/// The production f32 scorer: the fused [`InferencePlan`] of a trained
-/// LogSynergy model. The plan (frozen weights) is shared (`Arc`); each
-/// clone owns a private scratch that persists across calls, so every
-/// serving worker scores against the same weights without copying them or
-/// allocating per batch. Scores are bit-identical to the tape's
-/// `Detector::scores`.
+/// The serving engine a [`ModelScorer`] was built over.
+#[derive(Clone)]
+enum Engine {
+    F32(Arc<InferencePlan>),
+    #[cfg(feature = "quant")]
+    Int8(Arc<logsynergy::quant::QuantizedModel>),
+}
+
+/// The production scorer: one serving engine of a trained LogSynergy
+/// model, shared (`Arc`, frozen weights); each clone owns a private scratch
+/// that persists across calls, so every serving worker scores against the
+/// same weights without copying them or allocating per batch.
+///
+/// [`ModelScorer::new`] / [`ModelScorer::shared`] serve the fused f32
+/// [`InferencePlan`] — the default, bit-identical to the tape's
+/// `Detector::scores`. `ModelScorer::quantized` (`quant` feature,
+/// `--quant`) serves the calibrated int8 model, held to the
+/// verdict-agreement gate (≥ 99.5% with f32, |ΔF1| ≤ 0.005) asserted in
+/// `quant_agreement.rs`.
 pub struct ModelScorer {
-    plan: Arc<InferencePlan>,
+    engine: Engine,
     scratch: Mutex<PlanScratch>,
 }
 
@@ -104,18 +117,37 @@ impl ModelScorer {
     /// Wraps an already-shared trained model (its serving weights are
     /// copied into the plan once, here).
     pub fn shared(model: Arc<LogSynergyModel>) -> Self {
-        Self::from_plan(Arc::new(InferencePlan::from_model(&model)))
+        Self::over(Engine::F32(Arc::new(InferencePlan::from_model(&model))))
     }
 
-    fn from_plan(plan: Arc<InferencePlan>) -> Self {
-        let scratch = Mutex::new(plan.scratch());
-        ModelScorer { plan, scratch }
+    /// Quantizes a trained f32 model against calibration windows drawn
+    /// from the deployment's expected traffic. Fails when those windows
+    /// carry no signal to calibrate on (none at all, or all-zero
+    /// embeddings).
+    #[cfg(feature = "quant")]
+    pub fn quantized(
+        model: &LogSynergyModel,
+        calib_windows: &[&[u32]],
+        embeddings: &[Vec<f32>],
+    ) -> Result<Self, logsynergy::quant::EmptyCalibration> {
+        let model =
+            logsynergy::quant::QuantizedModel::from_model(model, calib_windows, embeddings)?;
+        Ok(Self::over(Engine::Int8(Arc::new(model))))
+    }
+
+    fn over(engine: Engine) -> Self {
+        let scratch = Mutex::new(match &engine {
+            Engine::F32(plan) => plan.scratch(),
+            #[cfg(feature = "quant")]
+            Engine::Int8(model) => model.scratch(),
+        });
+        ModelScorer { engine, scratch }
     }
 }
 
 impl Clone for ModelScorer {
     fn clone(&self) -> Self {
-        Self::from_plan(Arc::clone(&self.plan))
+        Self::over(self.engine.clone())
     }
 }
 
@@ -125,61 +157,20 @@ impl SequenceScorer for ModelScorer {
     }
 
     fn score_batch(&self, windows: &[&[u32]], table: &[Vec<f32>]) -> Vec<f32> {
-        self.plan
-            .score_windows_with(&mut self.scratch.lock(), windows, table)
-    }
-}
-
-/// The int8 serving scorer (`quant` feature): a calibrated
-/// [`logsynergy::quant::QuantizedModel`] shared across workers. Scoring
-/// takes `&self` and allocates its own scratch per call, so clones share
-/// the quantized weights with no locking at all.
-///
-/// The f32 [`ModelScorer`] remains the default; this tier is opt-in
-/// (`--quant`) and is held to the verdict-agreement gate (≥ 99.5% with
-/// f32, |ΔF1| ≤ 0.005) asserted in `quant_agreement.rs`.
-#[cfg(feature = "quant")]
-#[derive(Clone)]
-pub struct QuantScorer {
-    model: Arc<logsynergy::quant::QuantizedModel>,
-}
-
-#[cfg(feature = "quant")]
-impl QuantScorer {
-    /// Wraps an already-quantized model.
-    pub fn new(model: logsynergy::quant::QuantizedModel) -> Self {
-        QuantScorer {
-            model: Arc::new(model),
+        let scratch = &mut self.scratch.lock();
+        match &self.engine {
+            Engine::F32(plan) => plan.score_windows_with(scratch, windows, table),
+            #[cfg(feature = "quant")]
+            Engine::Int8(model) => model.score_windows_with(scratch, windows, table),
         }
     }
 
-    /// Quantizes a trained f32 model against calibration windows drawn
-    /// from the deployment's expected traffic.
-    pub fn calibrated(
-        model: &LogSynergyModel,
-        calib_windows: &[&[u32]],
-        embeddings: &[Vec<f32>],
-    ) -> Self {
-        Self::new(logsynergy::quant::QuantizedModel::from_model(
-            model,
-            calib_windows,
-            embeddings,
-        ))
-    }
-}
-
-#[cfg(feature = "quant")]
-impl SequenceScorer for QuantScorer {
-    fn score(&self, events: &[u32], table: &[Vec<f32>]) -> f32 {
-        self.model.score_one(events, table)
-    }
-
-    fn score_batch(&self, windows: &[&[u32]], table: &[Vec<f32>]) -> Vec<f32> {
-        self.model.score_windows(windows, table)
-    }
-
     fn tier_label(&self) -> &'static str {
-        "int8"
+        match self.engine {
+            Engine::F32(_) => "f32",
+            #[cfg(feature = "quant")]
+            Engine::Int8(_) => "int8",
+        }
     }
 }
 

@@ -42,8 +42,6 @@ pub mod vectorizer;
 
 pub use buffer::{BufferStats, LogBuffer};
 pub use cache::ScoreCache;
-#[cfg(feature = "quant")]
-pub use detect::QuantScorer;
 pub use detect::{
     ModelScorer, OnlineDetector, RetryPolicy, SequenceScorer, ServeMode, DEFAULT_SCORE_CACHE,
 };

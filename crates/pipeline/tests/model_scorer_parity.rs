@@ -3,6 +3,11 @@
 //! number under `results/` came from. On a trained model the two must
 //! agree bit for bit, however the serving loop groups its calls and
 //! however many workers score at once.
+//!
+//! With `--features quant` the same scorer type serves the int8 engine: it
+//! has no bitwise reference (it is gated statistically, in
+//! `quant_agreement.rs`), but it owes the same grouping- and
+//! clone-independence, its own tier label, and window conservation.
 
 use std::sync::{Arc, Barrier};
 
@@ -106,4 +111,92 @@ fn model_scorer_equals_tape_detector_bitwise_at_every_call_batch() {
     for got in got_a.iter().chain(&got_b) {
         assert_bitwise(got, &want, "concurrent clones");
     }
+}
+
+#[cfg(feature = "quant")]
+#[test]
+fn quantized_model_scorer_is_grouping_and_clone_independent_and_conserves_windows() {
+    use logsynergy_lei::LeiConfig;
+    use logsynergy_loggen::SystemId;
+    use logsynergy_pipeline::{
+        run_pipeline_with, EventVectorizer, MemorySink, PipelineConfig, RawLog,
+    };
+
+    let (model, table, samples) = trained();
+    let windows: Vec<&[u32]> = samples.iter().map(|s| s.events.as_slice()).collect();
+
+    assert!(
+        ModelScorer::quantized(&model, &[], &table).is_err(),
+        "nothing to calibrate on must be refused, not served as a constant"
+    );
+    let scorer = ModelScorer::quantized(&model, &windows[..128], &table).expect("calibration");
+    assert_eq!(scorer.tier_label(), "int8");
+    assert_eq!(ModelScorer::shared(model.clone()).tier_label(), "f32");
+
+    // One scorer, one persistent scratch, every call grouping: same bits.
+    let want = score_in_calls_of(&scorer, 64, &windows, &table);
+    assert!(
+        want.iter().any(|&p| p > 0.5) && want.iter().any(|&p| p < 0.5),
+        "the quantized model should give both verdicts"
+    );
+    for n in CALL_BATCHES {
+        let got = score_in_calls_of(&scorer, n, &windows, &table);
+        assert_bitwise(&got, &want, &format!("int8 call-batch {n}"));
+    }
+
+    // Clones (shared quantized weights, private scratches) scoring at the
+    // same time, out of step, agree with the single scorer.
+    let (a, b) = (scorer.clone(), scorer.clone());
+    let start = Barrier::new(2);
+    let run = |clone: &ModelScorer, sizes: [usize; 3]| {
+        start.wait();
+        sizes.map(|n| score_in_calls_of(clone, n, &windows, &table))
+    };
+    let (got_a, got_b) = std::thread::scope(|s| {
+        let ha = s.spawn(|| run(&a, [43, 1, 64]));
+        let hb = s.spawn(|| run(&b, [7, 300, 43]));
+        (
+            ha.join().expect("clone a panicked"),
+            hb.join().expect("clone b panicked"),
+        )
+    });
+    for got in got_a.iter().chain(&got_b) {
+        assert_bitwise(got, &want, "concurrent int8 clones");
+    }
+
+    // A full serving run over clones of a scorer calibrated the way the
+    // CLI does it (warm-start segment through a clone of the serving
+    // vectorizer): every window lands in exactly one of the six buckets.
+    let history = datasets::system_b().generate_with(0.01, 4.0);
+    let (warm, live) = history.records.split_at(history.records.len() / 3);
+    let mut vectorizer = EventVectorizer::new(
+        SystemId::SystemB,
+        model.config().embed_dim,
+        LeiConfig::default(),
+    );
+    vectorizer.warm_start(warm.iter().map(|r| r.message.as_str()));
+    let mut cal = vectorizer.clone();
+    let ids: Vec<u32> = warm.iter().map(|r| cal.ingest(&r.message)).collect();
+    let calib: Vec<&[u32]> = ids.chunks_exact(10).take(256).collect();
+    let serving = ModelScorer::quantized(&model, &calib, cal.table()).expect("calibration");
+    let source: Vec<RawLog> = live
+        .iter()
+        .map(|r| RawLog {
+            system: "b".into(),
+            timestamp: r.timestamp,
+            message: r.message.clone(),
+        })
+        .collect();
+    let config = PipelineConfig {
+        partitions: 2,
+        ..PipelineConfig::default()
+    };
+    let s = run_pipeline_with(source, vectorizer, serving, MemorySink::new(), config);
+    assert!(s.model_calls > 0, "the int8 tier must be reached: {s:?}");
+    assert_eq!(
+        s.pattern_hits + s.cache_hits + s.model_calls + s.degraded + s.shed + s.quarantined,
+        s.windows,
+        "six-bucket conservation: {s:?}"
+    );
+    assert_eq!(s.degraded + s.shed + s.quarantined, 0, "{s:?}");
 }

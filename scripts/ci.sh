@@ -21,16 +21,19 @@ cargo check --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> cargo test -q"
 cargo test --workspace -q
 
-echo "==> nn + core suites on the scalar and AVX2 tiers"
+echo "==> nn + core suites (quant on) on the scalar and AVX2 tiers"
 # The run above used the best tier the CPU has. nn::infer's GELU sweep is
 # compiled once per tier (scalar / AVX2 / AVX-512) and must give the same
 # bits on each, and the plan must equal the tape on each: re-run the two
 # suites that hold the bitwise oracles with the tier pinned, so all three
 # dispatch arms are exercised (on a CPU without AVX2 the pin falls back
-# and the pass is a repeat).
+# and the pass is a repeat). With `--features quant`, because off AVX-512
+# the int8 forward's interludes are infer_fast's fallback arms — the pinned
+# nn::infer sweeps, asserted bit for bit — and the int8 kernels' own
+# scalar/AVX2 arms never run on an AVX-512 host otherwise.
 for tier in scalar avx2; do
-  LOGSYNERGY_NN_SIMD="$tier" cargo test -p logsynergy-nn -q
-  LOGSYNERGY_NN_SIMD="$tier" cargo test -p logsynergy -q
+  LOGSYNERGY_NN_SIMD="$tier" cargo test -p logsynergy-nn --features quant -q
+  LOGSYNERGY_NN_SIMD="$tier" cargo test -p logsynergy --features quant -q
 done
 
 echo "==> telemetry off-feature build (instrumentation must compile out)"
