@@ -120,34 +120,40 @@ impl Drain {
         &self.templates[id.0 as usize]
     }
 
-    fn tokenize(&self, message: &str) -> Vec<String> {
-        message
-            .split_whitespace()
-            .map(|t| {
-                if self.config.mask_numbers && t.chars().any(|c| c.is_ascii_digit()) {
-                    WILDCARD.to_string()
-                } else {
-                    t.to_string()
-                }
-            })
-            .collect()
+    /// The token Drain matches on: `<*>` for a digit-bearing token when
+    /// numbers are masked, else the token itself.
+    fn masked<'m>(&self, token: &'m str) -> &'m str {
+        if self.config.mask_numbers && token.bytes().any(|b| b.is_ascii_digit()) {
+            WILDCARD
+        } else {
+            token
+        }
     }
 
-    fn route_key(token: &str, node: &Node, max_children: usize) -> String {
-        if token == WILDCARD {
-            return WILDCARD.to_string();
+    /// The child of `node` that `token` routes to, created on first use.
+    /// A token unseen at a full node routes through `<*>`. Looked up by
+    /// `&str` (`entry` would want an owned key per level): two lookups for
+    /// a known token, an owned key only for a new child.
+    fn route<'n>(node: &'n mut Node, token: &str, max_children: usize) -> &'n mut Node {
+        let mut key = token;
+        if !node.children.contains_key(key) {
+            if key != WILDCARD && node.children.len() >= max_children {
+                key = WILDCARD;
+            }
+            // `token` itself is known absent; `<*>` may already be there.
+            if key == token || !node.children.contains_key(key) {
+                node.children.insert(key.to_string(), Node::default());
+            }
         }
-        if node.children.contains_key(token) || node.children.len() < max_children {
-            token.to_string()
-        } else {
-            WILDCARD.to_string()
-        }
+        node.children
+            .get_mut(key)
+            .expect("the routed child was just ensured")
     }
 
     /// Token-overlap similarity between a template and a tokenized message
     /// of the same length; wildcard positions are ignored in the numerator
     /// but counted in the denominator (Drain's `simSeq`).
-    fn similarity(template: &[String], tokens: &[String]) -> (f64, usize) {
+    fn similarity(template: &[String], tokens: &[&str]) -> (f64, usize) {
         let mut same = 0usize;
         let mut wildcards = 0usize;
         for (a, b) in template.iter().zip(tokens) {
@@ -160,25 +166,25 @@ impl Drain {
         (same as f64 / template.len() as f64, wildcards)
     }
 
-    /// Parses one message, learning templates online.
-    pub fn parse(&mut self, message: &str) -> ParsedLog {
-        let tokens = self.tokenize(message);
+    /// The one tree walk: routes the masked tokens of a message to a leaf,
+    /// merges them into the best-matching group or starts a new one, and
+    /// returns the group's index into `templates`. Works on borrowed
+    /// tokens; a `String` is made only when a node or template is created
+    /// or a template token is merged to `<*>`.
+    fn learn(&mut self, tokens: &[&str]) -> usize {
         let len = tokens.len();
-        let depth = self.config.depth;
         let max_children = self.config.max_children;
 
         // Descend the fixed-depth tree, creating nodes as needed.
         let mut node = self.root.entry(len).or_default();
-        for token in tokens.iter().take(depth.min(len)) {
-            let key = Self::route_key(token, node, max_children);
-            node = node.children.entry(key).or_default();
+        for token in tokens.iter().take(self.config.depth) {
+            node = Self::route(node, token, max_children);
         }
 
         // Find the best-matching group at the leaf.
         let mut best: Option<(usize, f64, usize)> = None;
         for &gi in &node.groups {
-            let t = &self.templates[gi];
-            let (sim, wc) = Self::similarity(&t.tokens, &tokens);
+            let (sim, wc) = Self::similarity(&self.templates[gi].tokens, tokens);
             let better = match best {
                 None => true,
                 Some((_, bs, bw)) => sim > bs || (sim == bs && wc < bw),
@@ -188,11 +194,11 @@ impl Drain {
             }
         }
 
-        let group_idx = match best {
+        match best {
             Some((gi, sim, _)) if sim >= self.config.sim_threshold => {
                 // Merge: diverging tokens become wildcards.
                 let t = &mut self.templates[gi];
-                for (tt, mt) in t.tokens.iter_mut().zip(&tokens) {
+                for (tt, mt) in t.tokens.iter_mut().zip(tokens) {
                     if tt != mt && tt != WILDCARD {
                         *tt = WILDCARD.to_string();
                     }
@@ -201,25 +207,38 @@ impl Drain {
                 gi
             }
             _ => {
-                let id = EventId(self.templates.len() as u32);
+                let gi = self.templates.len();
                 self.templates.push(Template {
-                    id,
-                    tokens: tokens.clone(),
+                    id: EventId(gi as u32),
+                    tokens: tokens.iter().map(|t| t.to_string()).collect(),
                     count: 1,
                 });
-                node.groups.push(self.templates.len() - 1);
-                self.templates.len() - 1
+                node.groups.push(gi);
+                gi
             }
-        };
+        }
+    }
 
-        let template = &self.templates[group_idx];
-        let raw: Vec<&str> = message.split_whitespace().collect();
+    /// The whitespace-separated tokens of a message, in one allocation:
+    /// `n` bytes hold at most `n / 2 + 1` tokens.
+    fn split(message: &str) -> Vec<&str> {
+        let mut tokens = Vec::with_capacity(message.len() / 2 + 1);
+        tokens.extend(message.split_whitespace());
+        tokens
+    }
+
+    /// Parses one message, learning templates online.
+    pub fn parse(&mut self, message: &str) -> ParsedLog {
+        let raw = Self::split(message);
+        let tokens: Vec<&str> = raw.iter().map(|t| self.masked(t)).collect();
+        let group = self.learn(&tokens);
+        let template = &self.templates[group];
         let params = template
             .tokens
             .iter()
-            .enumerate()
-            .filter(|(_, t)| *t == WILDCARD)
-            .map(|(i, _)| raw.get(i).copied().unwrap_or("").to_string())
+            .zip(&raw)
+            .filter(|(t, _)| *t == WILDCARD)
+            .map(|(_, r)| r.to_string())
             .collect();
         ParsedLog {
             event: template.id,
@@ -227,15 +246,28 @@ impl Drain {
         }
     }
 
+    /// [`Drain::parse`] without the parameter extraction: learns from the
+    /// message exactly as `parse` does and returns only its event id, for
+    /// callers (the serving vectorizer) that drop the parameters.
+    pub fn parse_event(&mut self, message: &str) -> EventId {
+        let mut tokens = Self::split(message);
+        for token in &mut tokens {
+            *token = self.masked(token);
+        }
+        let group = self.learn(&tokens);
+        self.templates[group].id
+    }
+
     /// Parses a batch of messages, returning their event ids.
     pub fn parse_all<'a>(&mut self, messages: impl IntoIterator<Item = &'a str>) -> Vec<EventId> {
-        messages.into_iter().map(|m| self.parse(m).event).collect()
+        messages.into_iter().map(|m| self.parse_event(m)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn identical_messages_share_template() {
@@ -320,6 +352,136 @@ mod tests {
         assert_eq!(d.num_templates(), 3);
         let again = d.parse("ccc common tail token");
         assert_eq!(c.event, again.event);
+    }
+
+    /// The body `parse` had before the borrowed-token core: one `String`
+    /// per token, per routing level and per parameter. Kept as the
+    /// differential oracle for `learn` and its two entries.
+    fn parse_reference(d: &mut Drain, message: &str) -> ParsedLog {
+        let tokens: Vec<String> = message
+            .split_whitespace()
+            .map(|t| {
+                if d.config.mask_numbers && t.chars().any(|c| c.is_ascii_digit()) {
+                    WILDCARD.to_string()
+                } else {
+                    t.to_string()
+                }
+            })
+            .collect();
+        let len = tokens.len();
+        let max_children = d.config.max_children;
+
+        let mut node = d.root.entry(len).or_default();
+        for token in tokens.iter().take(d.config.depth.min(len)) {
+            let key = if token == WILDCARD
+                || node.children.contains_key(token)
+                || node.children.len() < max_children
+            {
+                token.to_string()
+            } else {
+                WILDCARD.to_string()
+            };
+            node = node.children.entry(key).or_default();
+        }
+
+        let mut best: Option<(usize, f64, usize)> = None;
+        for &gi in &node.groups {
+            let t = &d.templates[gi];
+            let (mut same, mut wc) = (0usize, 0usize);
+            for (a, b) in t.tokens.iter().zip(&tokens) {
+                if a == WILDCARD {
+                    wc += 1;
+                } else if a == b {
+                    same += 1;
+                }
+            }
+            let sim = same as f64 / t.tokens.len() as f64;
+            let better = match best {
+                None => true,
+                Some((_, bs, bw)) => sim > bs || (sim == bs && wc < bw),
+            };
+            if better {
+                best = Some((gi, sim, wc));
+            }
+        }
+
+        let group_idx = match best {
+            Some((gi, sim, _)) if sim >= d.config.sim_threshold => {
+                let t = &mut d.templates[gi];
+                for (tt, mt) in t.tokens.iter_mut().zip(&tokens) {
+                    if tt != mt && tt != WILDCARD {
+                        *tt = WILDCARD.to_string();
+                    }
+                }
+                t.count += 1;
+                gi
+            }
+            _ => {
+                let id = EventId(d.templates.len() as u32);
+                d.templates.push(Template {
+                    id,
+                    tokens: tokens.clone(),
+                    count: 1,
+                });
+                node.groups.push(d.templates.len() - 1);
+                d.templates.len() - 1
+            }
+        };
+
+        let template = &d.templates[group_idx];
+        let raw: Vec<&str> = message.split_whitespace().collect();
+        let params = template
+            .tokens
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| *t == WILDCARD)
+            .map(|(i, _)| raw.get(i).copied().unwrap_or("").to_string())
+            .collect();
+        ParsedLog {
+            event: template.id,
+            params,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `parse`, `parse_event` and the pre-refactor body learn the same
+        /// templates from the same stream: same event id per message, same
+        /// parameters, and the same `templates()` afterwards — including
+        /// under `max_children` overflow and `depth` beyond the message.
+        #[test]
+        fn both_entries_learn_what_the_reference_body_learns(
+            msgs in proptest::collection::vec(
+                proptest::collection::vec(
+                    prop_oneof!["[a-c]{1,2}", "[a-b]{0,1}[0-9]{1,2}", Just(WILDCARD.to_string())],
+                    0..6,
+                ),
+                0..60,
+            ),
+            seps in proptest::collection::vec(0usize..4, 8),
+            max_children in prop_oneof![Just(2usize), Just(3), Just(100)],
+            depth in 1usize..4,
+            mask_numbers in any::<bool>(),
+        ) {
+            let config = DrainConfig { depth, max_children, mask_numbers, ..DrainConfig::default() };
+            let mut full = Drain::new(config.clone());
+            let mut event_only = Drain::new(config.clone());
+            let mut reference = Drain::new(config);
+            for (i, tokens) in msgs.iter().enumerate() {
+                // Runs of mixed whitespace between, before and after tokens.
+                let sep = ["  ", "\t", " \t ", " "][seps[i % seps.len()]];
+                let line = format!("{sep}{}{sep}", tokens.join(sep));
+                let want = parse_reference(&mut reference, &line);
+                prop_assert_eq!(&full.parse(&line), &want, "line {:?}", line);
+                prop_assert_eq!(event_only.parse_event(&line), want.event, "line {:?}", line);
+            }
+            let shape = |d: &Drain| -> Vec<(EventId, Vec<String>, u64)> {
+                d.templates().iter().map(|t| (t.id, t.tokens.clone(), t.count)).collect()
+            };
+            prop_assert_eq!(shape(&full), shape(&reference));
+            prop_assert_eq!(shape(&event_only), shape(&reference));
+        }
     }
 
     #[test]

@@ -32,7 +32,13 @@ pub struct StructuredLog {
 /// raw batch alive and re-format it when a faulted attempt is retried —
 /// replays produce identical structured logs for the same `seq_no`.
 pub fn format_log(raw: &RawLog, seq_no: u64) -> StructuredLog {
-    let message = raw.message.split_whitespace().collect::<Vec<_>>().join(" ");
+    let mut message = String::with_capacity(raw.message.len());
+    for token in raw.message.split_whitespace() {
+        if !message.is_empty() {
+            message.push(' ');
+        }
+        message.push_str(token);
+    }
     StructuredLog {
         system: raw.system.clone(),
         timestamp: raw.timestamp,

@@ -55,8 +55,8 @@ impl EventVectorizer {
     /// Parses one message, returning its event id; new templates are
     /// interpreted and embedded on the fly.
     pub fn ingest(&mut self, message: &str) -> u32 {
-        let parsed = self.drain.parse(message);
-        let id = parsed.event.0 as usize;
+        let event = self.drain.parse_event(message);
+        let id = event.0 as usize;
         while self.table.len() <= id {
             let tid = self.table.len();
             let template = self
@@ -81,7 +81,7 @@ impl EventVectorizer {
         // The merge may have changed an existing template's text; embeddings
         // are refreshed lazily only for brand-new ids, which matches the
         // deployed system (interpretations are generated per template once).
-        parsed.event.0
+        event.0
     }
 
     /// The embedding table (template id → vector).

@@ -69,6 +69,19 @@ proptest! {
         prop_assert!(!f.message.contains("  "));
     }
 
+    /// The single-pass formatter writes what the collect-and-join
+    /// expression it replaced wrote, for any mix of ASCII and Unicode
+    /// whitespace between, before and after (or instead of) the tokens.
+    #[test]
+    fn format_log_matches_collect_and_join(
+        pieces in proptest::collection::vec(
+            prop_oneof!["[a-z0-9é<*>]{1,5}", "[ \t\n\r\u{a0}\u{2003}\u{3000}]{1,3}"], 0..12)
+    ) {
+        let raw = RawLog { system: "s".into(), timestamp: 1, message: pieces.concat() };
+        let want = raw.message.split_whitespace().collect::<Vec<_>>().join(" ");
+        prop_assert_eq!(format_log(&raw, 9).message, want);
+    }
+
     /// Arbitrary interleavings of insert/lookup never exceed the LRU
     /// capacity bound, and a hit always returns the score most recently
     /// inserted for that exact event-id sequence.

@@ -125,8 +125,8 @@ fn parse_syslog(line: &str) -> Result<ClientLine, String> {
     if !(1..=31).contains(&day) {
         return Err(format!("day {day} out of range"));
     }
-    let hms: Vec<&str> = time.split(':').collect();
-    let [h, m, s] = hms[..] else {
+    let mut hms = time.split(':');
+    let (Some(h), Some(m), Some(s), None) = (hms.next(), hms.next(), hms.next(), hms.next()) else {
         return Err(format!("bad time {time:?}"));
     };
     let (h, m, s): (u64, u64, u64) = match (h.parse(), m.parse(), s.parse()) {
@@ -136,11 +136,14 @@ fn parse_syslog(line: &str) -> Result<ClientLine, String> {
     if h > 23 || m > 59 || s > 60 {
         return Err(format!("time {time:?} out of range"));
     }
-    let message = line
-        .split_whitespace()
-        .skip(4)
-        .collect::<Vec<_>>()
-        .join(" ");
+    // The payload is what `parts` has left, whitespace runs collapsed.
+    let mut message = String::with_capacity(line.len());
+    for token in parts {
+        if !message.is_empty() {
+            message.push(' ');
+        }
+        message.push_str(token);
+    }
     if message.is_empty() {
         return Err("syslog line has an empty payload".into());
     }
@@ -278,6 +281,60 @@ mod tests {
     }
 
     #[test]
+    fn ndjson_edge_lines_keep_their_meaning() {
+        // Pinned from the parser before its string scan went linear (the
+        // vendored crate's differential test covers the mutated space;
+        // these are the seeds' meanings as records).
+        let record = |line: &str| match parse_line(line, "d") {
+            Ok(ClientLine::Record(r)) => Ok((r.timestamp, r.message)),
+            Ok(other) => panic!("{line}: {other:?}"),
+            Err(e) => Err(e),
+        };
+        let ok = |ts: u64, m: &str| Ok((ts, m.to_string()));
+        // Duplicate keys: the first wins.
+        assert_eq!(
+            record(r#"{"message":"first","message":"second"}"#),
+            ok(0, "first")
+        );
+        assert_eq!(
+            parse_line(r#"{"auth":"a","auth":"b","message":"m"}"#, "d").unwrap(),
+            ClientLine::Hello { token: "a".into() }
+        );
+        // Numbers: `-0` and leading zeros read as integers, 20 digits
+        // still fit a u64, an exponent makes a float.
+        assert_eq!(record(r#"{"message":"m","timestamp":-0}"#), ok(0, "m"));
+        assert_eq!(record(r#"{"message":"m","timestamp":007}"#), ok(7, "m"));
+        assert_eq!(
+            record(r#"{"message":"m","timestamp":12345678901234567890}"#),
+            ok(12345678901234567890, "m")
+        );
+        assert!(record(r#"{"message":"m","timestamp":1e3}"#).is_err());
+        // Escapes, raw control bytes and multi-byte text inside a string.
+        assert_eq!(
+            record(r#"{"message":"tab\there \"q\" back\\slash \/ \b\f\n\r é 日本 🎉"}"#),
+            ok(0, "tab\there \"q\" back\\slash / \u{8}\u{c}\n\r é 日本 🎉")
+        );
+        assert_eq!(
+            record("{\"message\":\"raw\ttab and \u{1} control\"}"),
+            ok(0, "raw\ttab and \u{1} control")
+        );
+        for (line, detail) in [
+            (
+                r#"{"message":"m"} trailing"#,
+                "trailing characters at byte 16",
+            ),
+            (r#"{"message":"m","ok":tru}"#, "invalid literal at byte 20"),
+            (
+                r#"{"message":"m","list":[1,]}"#,
+                "unexpected byte `]` at byte 25",
+            ),
+            (r#"{"message":"open"#, "unterminated string at byte 16"),
+        ] {
+            assert_eq!(record(line), Err(format!("invalid json: {detail}")));
+        }
+    }
+
+    #[test]
     fn syslog_line_maps_host_and_in_year_seconds() {
         let ClientLine::Record(r) =
             parse_line("Jun  9 06:06:20 combo sshd[3251]: connection lost", "d").unwrap()
@@ -287,6 +344,24 @@ mod tests {
         assert_eq!(r.system, "combo");
         assert_eq!(r.message, "sshd[3251]: connection lost");
         assert_eq!(r.timestamp, (151 + 8) * 86_400 + 6 * 3_600 + 6 * 60 + 20);
+
+        // Runs of spaces and tabs — in the header, inside the payload and
+        // after it — collapse to single spaces; a one-token payload and a
+        // Unicode space are payload like any other.
+        for (line, message) in [
+            (
+                "Jun \t9  06:06:20\tcombo   sshd[3251]:\t\tconnection  lost \t",
+                "sshd[3251]: connection lost",
+            ),
+            ("Jun 9 06:06:20 combo up", "up"),
+            ("Jun 9 06:06:20 combo a\u{3000}b\u{a0} c", "a b c"),
+        ] {
+            let ClientLine::Record(r) = parse_line(line, "d").unwrap() else {
+                panic!("expected a record");
+            };
+            assert_eq!((r.system.as_str(), r.message.as_str()), ("combo", message));
+            assert_eq!(r.timestamp, (151 + 8) * 86_400 + 6 * 3_600 + 6 * 60 + 20);
+        }
     }
 
     #[test]
@@ -296,6 +371,18 @@ mod tests {
         assert!(parse_line("Jun 99 06:06:20 host msg", "d").is_err());
         assert!(parse_line("Jun 9 06:66:20 host msg", "d").is_err());
         assert!(parse_line("Jun 9 06:06:20 host", "d").is_err());
+        assert!(parse_line("Jun 9 06:06:20 host \t ", "d").is_err());
+        // The time is exactly three `:`-separated numbers.
+        for time in [
+            "06:06",
+            "06:06:20:",
+            "06:06:20:01",
+            "06::20",
+            ":06:20",
+            "6:6:x",
+        ] {
+            assert!(parse_line(&format!("Jun 9 {time} host msg"), "d").is_err());
+        }
     }
 
     #[test]

@@ -481,6 +481,59 @@ fn a_newline_free_flood_is_cut_off_at_the_line_cap() {
 }
 
 #[test]
+fn deeply_nested_json_costs_an_error_frame_not_the_daemon() {
+    // Regression: the JSON parser recursed once per `[` with no limit, and
+    // a line is parsed before the HELLO check — so one anonymous 60 KB
+    // line (legal under the 64 KiB cap) overflowed the handler's stack,
+    // which is a process abort, not a panic the handler's isolation layer
+    // can catch. Nesting is now capped: the line is an ordinary parse
+    // error, 401 before HELLO and 400 after.
+    let specs = parse_tenants("tenant acme token=t").unwrap();
+    let daemon = start(
+        ServeConfig::default(),
+        specs,
+        None,
+        vectorizer(),
+        TableScorer,
+        MemorySink::new(),
+    )
+    .unwrap();
+    let addr = daemon.addr();
+    let hostile = format!("{{\"a\":{}\n", "[".repeat(60_000));
+    let exchange = |lines: &[&str]| {
+        let mut s = TcpStream::connect(addr).unwrap();
+        for line in lines {
+            s.write_all(line.as_bytes()).unwrap();
+        }
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut resp = String::new();
+        s.read_to_string(&mut resp).unwrap();
+        resp
+    };
+
+    let resp = exchange(&[&hostile]);
+    assert!(resp.contains("\"code\":401"), "{resp}");
+
+    let resp = exchange(&["HELLO t\n", &hostile, "{\"message\":\"still here\"}\n"]);
+    assert!(resp.contains("\"code\":400"), "{resp}");
+    assert!(resp.contains("nesting too deep"), "{resp}");
+    let last = resp.lines().last().unwrap();
+    assert_eq!(summary_field(last, "accepted"), 1, "{last}");
+    assert_eq!(summary_field(last, "parse_errors"), 1, "{last}");
+
+    // The daemon still answers a fresh connection.
+    let resp = exchange(&["HELLO t\n", "{\"message\":\"next client\"}\n"]);
+    assert_eq!(
+        summary_field(resp.lines().last().unwrap(), "accepted"),
+        1,
+        "{resp}"
+    );
+    let (stats, summary) = daemon.drain_with_stats();
+    assert_eq!((stats.accepted, stats.parse_errors), (2, 1));
+    assert_eq!(summary.logs, 2);
+}
+
+#[test]
 fn parse_error_frames_are_sampled_not_per_line() {
     // Same cadence as the quota/shed paths: the first malformed line is
     // answered, then one frame per 1024 — never a frame per line, never

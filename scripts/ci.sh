@@ -19,6 +19,9 @@ echo "==> benchmark/ compiles against the frozen serving surface"
 cargo check --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test -q"
+# Includes the vendored stand-ins' own unit tests (vendor/serde_json's
+# parser differential, nesting cap and surrogate tests among them): a path
+# dependency inside the workspace root is a workspace member.
 cargo test --workspace -q
 
 echo "==> nn + core suites (quant on) on the scalar and AVX2 tiers"
@@ -195,22 +198,32 @@ import json, socket, sys
 addr = json.load(open(sys.argv[1]))
 host, port = addr["listen"].rsplit(":", 1)
 
-def stream(token, system, n):
+def exchange(payload):
+    """Send payload, half-close, and return the server's last frame."""
     s = socket.create_connection((host, int(port)))
-    s.sendall(f"HELLO {token}\n".encode())
-    lines = []
-    for i in range(n):
-        if i % 2 == 0:
-            lines.append('{"system":"%s","timestamp":%d,"message":"smoke line %d ok"}' % (system, i, i))
-        else:
-            lines.append("Jan  1 00:00:%02d %s smoke line %d ok" % (i % 60, system, i))
-    s.sendall(("\n".join(lines) + "\n").encode())
+    s.sendall(payload)
     s.shutdown(socket.SHUT_WR)
     resp = b""
     while chunk := s.recv(65536):
         resp += chunk
     s.close()
     return json.loads(resp.decode().strip().splitlines()[-1])
+
+def stream(token, system, n):
+    lines = [f"HELLO {token}"]
+    for i in range(n):
+        if i % 2 == 0:
+            lines.append('{"system":"%s","timestamp":%d,"message":"smoke line %d ok"}' % (system, i, i))
+        else:
+            lines.append("Jan  1 00:00:%02d %s smoke line %d ok" % (i % 60, system, i))
+    return exchange(("\n".join(lines) + "\n").encode())
+
+# Hostile first: 60 000 `[` before HELLO (a legal < 64 KiB line, parsed
+# before the auth check) must cost a 401 frame, not the daemon — an
+# uncapped recursive parse overflows the handler's stack, which aborts
+# the whole process. The streams below are the "still serving" check.
+refusal = exchange(b'{"a":' + b"[" * 60000 + b"\n")
+assert refusal["code"] == 401, refusal
 
 for token, system in (("edge-secret", "edge-sys"), ("lab-secret", "lab-sys")):
     summary = stream(token, system, 500)
@@ -225,8 +238,9 @@ while chunk := m.recv(65536):
     scrape += chunk
 m.close()
 assert b"ingest" in scrape and len(scrape) > 200, scrape[:200]
-print("daemon smoke: 1000 lines streamed, metrics scrape OK")
+print("daemon smoke: deep-nesting line refused, 1000 lines streamed, metrics scrape OK")
 PY
+kill -0 "$serve_pid" || { echo "FAIL: daemon died during the smoke" >&2; cat "$smoke_dir/serve.log" >&2; exit 1; }
 kill -TERM "$serve_pid"
 wait "$serve_pid"
 python3 - "$smoke_dir/summary.json" <<'PY'
