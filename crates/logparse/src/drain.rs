@@ -152,8 +152,14 @@ impl Drain {
 
     /// Token-overlap similarity between a template and a tokenized message
     /// of the same length; wildcard positions are ignored in the numerator
-    /// but counted in the denominator (Drain's `simSeq`).
+    /// but counted in the denominator (Drain's `simSeq`). The empty
+    /// template is identical to the empty message (1.0, not `0/0`: a NaN
+    /// never clears the threshold, so every empty or whitespace-only
+    /// message would learn a template of its own).
     fn similarity(template: &[String], tokens: &[&str]) -> (f64, usize) {
+        if template.is_empty() {
+            return (1.0, 0);
+        }
         let mut same = 0usize;
         let mut wildcards = 0usize;
         for (a, b) in template.iter().zip(tokens) {
@@ -395,7 +401,11 @@ mod tests {
                     same += 1;
                 }
             }
-            let sim = same as f64 / t.tokens.len() as f64;
+            let sim = if t.tokens.is_empty() {
+                1.0
+            } else {
+                same as f64 / t.tokens.len() as f64
+            };
             let better = match best {
                 None => true,
                 Some((_, bs, bw)) => sim > bs || (sim == bs && wc < bw),
@@ -482,6 +492,20 @@ mod tests {
             prop_assert_eq!(shape(&full), shape(&reference));
             prop_assert_eq!(shape(&event_only), shape(&reference));
         }
+    }
+
+    #[test]
+    fn empty_and_whitespace_messages_share_one_template() {
+        let mut d = Drain::with_defaults();
+        d.parse("job 1 finished");
+        let blanks = ["", " ", "\t", " \t\r\n ", "\u{3000}"];
+        let first = d.parse_event("");
+        for i in 0..20_000 {
+            assert_eq!(d.parse_event(blanks[i % blanks.len()]), first);
+        }
+        assert_eq!(d.num_templates(), 2);
+        assert!(d.templates()[first.0 as usize].tokens.is_empty());
+        assert_eq!(d.parse("").params, Vec::<String>::new());
     }
 
     #[test]

@@ -127,31 +127,21 @@ impl Producer {
     }
 
     /// Blocking enqueue of a whole batch into a caller-chosen partition;
-    /// blocks while the shard is full (backpressure). The channel takes
-    /// one send per record, but the depth counter and the stats lock are
-    /// touched once per batch. On a closed shard the unsent suffix is
-    /// handed back with [`PipelineError::BufferClosed`] naming the
-    /// partition (records already enqueued are accounted). Panics if
-    /// `partition` is out of range.
+    /// blocks while the shard is full (backpressure). The batch goes in
+    /// with one [`Sender::send_all`]: one channel lock and one wake-up per
+    /// run that fits, and the depth counter and the stats lock are touched
+    /// once per batch. On a closed shard the unsent suffix is handed back
+    /// with [`PipelineError::BufferClosed`] naming the partition (records
+    /// already enqueued are accounted). Panics if `partition` is out of
+    /// range.
     pub fn send_many_to(
         &self,
         partition: usize,
         logs: Vec<RawLog>,
     ) -> Result<(), (Vec<RawLog>, PipelineError)> {
-        let mut sent = 0i64;
-        let mut it = logs.into_iter();
-        let mut closed = None;
-        for log in it.by_ref() {
-            match self.senders[partition].send(log) {
-                Ok(()) => sent += 1,
-                Err(e) => {
-                    let mut rest = vec![e.0];
-                    rest.extend(it);
-                    closed = Some(rest);
-                    break;
-                }
-            }
-        }
+        let total = logs.len();
+        let closed = self.senders[partition].send_all(logs).err().map(|e| e.0);
+        let sent = (total - closed.as_ref().map_or(0, Vec::len)) as i64;
         if sent > 0 {
             self.depths[partition].fetch_add(sent, Ordering::Relaxed);
             self.stats.lock().enqueued += sent as u64;
@@ -178,8 +168,10 @@ impl Consumer {
     /// whatever arrives until the deadline elapses and returns the partial
     /// batch (possibly empty — keep polling). Returns `None` only when
     /// the partition is drained *and* all producers are gone: the
-    /// definitive end of stream. The dequeue counter is updated once per
-    /// batch — one lock round-trip per burst instead of one per log.
+    /// definitive end of stream. Queued records leave the channel in one
+    /// [`Receiver::try_recv_into`] drain per lock acquisition, and the
+    /// dequeue counter is updated once per batch — one stats-lock
+    /// round-trip per burst instead of one per log.
     pub fn recv_batch(&mut self, max: usize, deadline: Duration) -> Option<Vec<RawLog>> {
         // `batch.drain` injection point, consulted before any record is
         // pulled off the channel so an injected panic can never lose logs
@@ -194,23 +186,28 @@ impl Consumer {
         let mut out = Vec::with_capacity(max.min(1024));
         let mut closed = false;
         while out.len() < max {
-            // Take what is queued without blocking; once the shard is
-            // empty, block until the deadline for the next record.
-            let next = match self.receiver.try_recv() {
-                Ok(log) => Ok(log),
+            // Take what is queued in one drain; once the shard is empty,
+            // block until the deadline for the next record. The depth
+            // falls with every drain, before any wait, so a producer's
+            // room check never counts records already in hand here.
+            let want = max - out.len();
+            let moved = match self.receiver.try_recv_into(&mut out, want) {
+                Ok(n) => Ok(n),
                 Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
                 Err(TryRecvError::Empty) => {
                     let now = Instant::now();
                     if now >= end {
                         break;
                     }
-                    self.receiver.recv_timeout(end - now)
+                    self.receiver.recv_timeout(end - now).map(|log| {
+                        out.push(log);
+                        1
+                    })
                 }
             };
-            match next {
-                Ok(log) => {
-                    self.depths[self.partition].fetch_sub(1, Ordering::Relaxed);
-                    out.push(log);
+            match moved {
+                Ok(n) => {
+                    self.depths[self.partition].fetch_sub(n as i64, Ordering::Relaxed);
                 }
                 Err(RecvTimeoutError::Timeout) => break,
                 Err(RecvTimeoutError::Disconnected) => {
@@ -386,6 +383,85 @@ mod tests {
         assert_eq!(err, PipelineError::BufferClosed { partition: 1 });
         assert_eq!(timestamps(&rest), vec![0, 1, 2]);
         assert_eq!(p.depth(1), 0, "nothing was enqueued, nothing is accounted");
+
+        // A closed shard never blocks, even for more than it has room for.
+        let (rest, _) = p
+            .send_many_to(1, (0..20).map(|i| raw("x", i)).collect())
+            .unwrap_err();
+        assert_eq!(timestamps(&rest), (0..20).collect::<Vec<_>>());
+
+        // Closed while a batch larger than the free room is half in: the
+        // records that went in are accounted, the rest come back in order.
+        let buf = LogBuffer::new(1, 4);
+        let p = buf.producer();
+        let mut c = buf.partition_consumer(0);
+        let sender = std::thread::spawn(move || {
+            let out = p.send_many_to(0, (0..10).map(|i| raw("x", i)).collect());
+            (out, p.depth(0))
+        });
+        let first = c.recv_batch(4, Duration::from_secs(10)).unwrap();
+        assert_eq!(timestamps(&first), vec![0, 1, 2, 3]);
+        std::thread::sleep(Duration::from_millis(20));
+        drop(c);
+        let stats = buf.stats();
+        drop(buf);
+        let (out, depth) = sender.join().unwrap();
+        let (rest, err) = out.unwrap_err();
+        assert_eq!(err, PipelineError::BufferClosed { partition: 0 });
+        let sent = 10 - rest.len() as u64;
+        assert!(sent >= 4, "the drained records were sent");
+        assert_eq!(timestamps(&rest), (sent..10).collect::<Vec<_>>());
+        assert_eq!(depth, sent - 4, "sent minus the four dequeued");
+        assert_eq!(stats.dequeued, 4);
+    }
+
+    #[test]
+    fn a_batch_three_times_the_capacity_reaches_a_slow_consumer_whole_and_in_order() {
+        let buf = LogBuffer::new(1, 8);
+        let p = buf.producer();
+        let mut c = buf.partition_consumer(0);
+        let sender = std::thread::spawn(move || {
+            p.send_many_to(0, (0..24).map(|i| raw("x", i)).collect())
+                .unwrap()
+        });
+        let mut got = Vec::new();
+        while got.len() < 24 {
+            std::thread::sleep(Duration::from_millis(2));
+            got.extend(c.recv_batch(5, Duration::from_millis(20)).unwrap());
+        }
+        sender.join().unwrap();
+        assert_eq!(timestamps(&got), (0..24).collect::<Vec<_>>());
+        let s = buf.stats();
+        assert_eq!((s.enqueued, s.dequeued), (24, 24));
+        assert_eq!(c.depth(), 0);
+    }
+
+    #[test]
+    fn depth_falls_while_a_short_batch_waits_out_its_deadline() {
+        let buf = LogBuffer::new(1, 64);
+        let p = buf.producer();
+        p.send_many_to(0, (0..3).map(|i| raw("x", i)).collect())
+            .unwrap();
+        assert_eq!(p.depth(0), 3);
+        let mut c = buf.partition_consumer(0);
+        let start = Instant::now();
+        let consumer = std::thread::spawn(move || c.recv_batch(10, Duration::from_secs(10)));
+        // The three records are in the consumer's hand while it waits for
+        // seven more: the backlog a producer's room check sees is 0.
+        while p.depth(0) > 0 && start.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(p.depth(0), 0, "records in hand still counted as queued");
+        assert!(!consumer.is_finished(), "the batch is still short");
+        p.send_many_to(0, (3..10).map(|i| raw("x", i)).collect())
+            .unwrap();
+        let batch = consumer.join().unwrap().unwrap();
+        assert_eq!(timestamps(&batch), (0..10).collect::<Vec<_>>());
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "a full batch returns"
+        );
+        assert_eq!(p.depth(0), 0);
     }
 
     #[test]

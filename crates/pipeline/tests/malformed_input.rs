@@ -113,6 +113,14 @@ fn hostile_records_flow_end_to_end_without_panic_or_loss() {
     for report in sink.reports() {
         assert!(report.probability.is_finite());
     }
+    // Seven message shapes, each learned at most once per partition: the
+    // empty and whitespace-only bodies share the one empty template
+    // instead of learning one each.
+    assert!(
+        summary.new_templates <= 7 * 2,
+        "hostile shapes must not each learn a template: {}",
+        summary.new_templates
+    );
 }
 
 #[test]
