@@ -1,31 +1,24 @@
 //! # logsynergy-bench
 //!
 //! Host crate for the workspace's runnable examples, cross-crate
-//! integration tests, and the benchmark harness that regenerates every
-//! table and figure of the paper (see `benches/`). Results are printed in
-//! the paper's layouts and persisted as JSON under `results/`.
+//! integration tests, and the serving and kernel performance benches
+//! (see `benches/`). The paper's tables and figures are regenerated by
+//! `logsynergy experiment <name>`, not here.
 
 #![warn(missing_docs)]
 
-use std::path::PathBuf;
-
-/// Directory experiment benches write their JSON results into.
-pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir).expect("cannot create results dir");
-    dir
-}
-
-/// Writes a serializable result next to the printed table.
+/// Writes a bench's serializable result as `<name>.json`: into `results/`
+/// for a full run, under `target/quick-results/` in quick mode (the rule
+/// of [`logsynergy_eval::experiments::result_path`]).
 pub fn write_result<T: serde::Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    std::fs::write(&path, serde_json::to_string_pretty(value).unwrap())
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    let json = logsynergy_eval::report::to_json(value);
+    let path = logsynergy_eval::experiments::save_result(name, quick_mode(), &json)
+        .unwrap_or_else(|e| panic!("cannot write {name}.json: {e}"));
     println!("[saved {}]", path.display());
 }
 
 /// True when the harness should run in quick mode (smoke runs of the
-/// experiment benches): set `LOGSYNERGY_BENCH_QUICK=1`.
+/// benches): set `LOGSYNERGY_BENCH_QUICK=1`.
 pub fn quick_mode() -> bool {
     std::env::var("LOGSYNERGY_BENCH_QUICK")
         .map(|v| v == "1")

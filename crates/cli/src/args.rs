@@ -64,6 +64,15 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         self.get(key).is_some()
     }
+
+    /// Errors on the first option not in `known`, so a flag a command does
+    /// not take is refused rather than silently ignored.
+    pub fn only(&self, known: &[&str]) -> Result<(), String> {
+        match self.flags.keys().find(|k| !known.contains(&k.as_str())) {
+            Some(k) => Err(format!("{} does not take --{k}", self.command)),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -88,6 +97,16 @@ mod tests {
     #[test]
     fn rejects_empty() {
         assert!(Args::parse(std::iter::empty()).is_err());
+    }
+
+    #[test]
+    fn only_refuses_options_outside_the_list() {
+        let a = parse("experiment fig6 --quick --logs 5");
+        assert!(a.only(&["quick", "logs"]).is_ok());
+        assert_eq!(
+            a.only(&["quick"]).unwrap_err(),
+            "experiment does not take --logs"
+        );
     }
 
     #[test]

@@ -17,9 +17,7 @@ use logsynergy::api::Pipeline;
 use logsynergy::detector::Detector;
 use logsynergy::persist;
 use logsynergy_eval::experiments::{self, sources_of};
-use logsynergy_eval::{
-    prepare_group, report, run_method, ExperimentConfig, MethodKind, Prf, SystemData,
-};
+use logsynergy_eval::{ExperimentConfig, Prf};
 use logsynergy_lei::LeiConfig;
 use logsynergy_loggen::{datasets, SystemId};
 use logsynergy_pipeline::{
@@ -47,8 +45,12 @@ commands:
                 --model <path>      required
                 --target <system>   required (must match training)
                 --logs <n>          must match training (default 30000)
-  experiment  regenerate a paper artifact
-                <table3|table4|table5|fig4a|fig5|fig6|fig8>  [--quick]
+  experiment  regenerate a paper artifact into results/<file>.json
+                <name>              one of: table1 table3 table4 table5 fig4
+                                    fig5 fig6 fig8 deployment_costs
+                                    design_ablations all
+                --quick             the smaller grid, written under
+                                    target/quick-results/ instead
   pipeline    run the Fig. 7 deployment demo for a target system
                 --target <system>   (default system-b)
                 --workers <n>       buffer partitions / detection workers (default 4)
@@ -254,64 +256,17 @@ fn cmd_detect(a: &Args) -> Result<(), String> {
 }
 
 fn cmd_experiment(a: &Args) -> Result<(), String> {
-    let which = a
-        .positionals
-        .first()
-        .ok_or("experiment name required")?
-        .as_str();
-    let cfg = cfg_from(a)?;
-    match which {
-        "table3" => println!("{}", report::render_table3(&experiments::table3(&cfg))),
-        "table4" => println!(
-            "{}",
-            report::render_group_table("Table IV: public datasets", &experiments::table4(&cfg))
-        ),
-        "table5" => println!(
-            "{}",
-            report::render_group_table("Table V: ISP datasets", &experiments::table5(&cfg))
-        ),
-        "fig4a" => {
-            let targets = [SystemId::Thunderbird, SystemId::SystemB];
-            println!(
-                "{}",
-                report::render_sweep(
-                    "Fig. 4a: F1 vs lambda_MI",
-                    &experiments::fig4a(&targets, &cfg)
-                )
-            );
-        }
-        "fig5" => {
-            let targets = [SystemId::Thunderbird, SystemId::SystemB];
-            println!(
-                "{}",
-                report::render_ablation(&experiments::fig5(&targets, &cfg))
-            );
-        }
-        "fig6" => println!("{}", report::render_transfers(&experiments::fig6(&cfg))),
-        "fig8" => println!(
-            "{}",
-            report::render_case_study(&experiments::fig8_case_study(&cfg))
-        ),
-        other => return Err(format!("unknown experiment: {other}")),
-    }
-    Ok(())
-}
-
-fn cmd_single(a: &Args) -> Result<(), String> {
-    // Hidden utility: run one method on one target (used for debugging).
-    let target = system_of(a.get("target").ok_or("--target is required")?)?;
-    let cfg = cfg_from(a)?;
-    let mut systems = sources_of(target);
-    systems.push(target);
-    let data = prepare_group(&systems, &cfg);
-    let n = data.len();
-    let sources: Vec<&SystemData> = data[..n - 1].iter().collect();
-    for kind in MethodKind::TABLE_METHODS {
-        let r = run_method(kind, &sources, &data[n - 1], &cfg);
-        println!(
-            "{:<22} P {:>6.2}  R {:>6.2}  F1 {:>6.2}",
-            r.method, r.prf.precision, r.prf.recall, r.prf.f1
-        );
+    let name = a.positionals.first().ok_or("experiment name required")?;
+    a.only(&["quick"])?;
+    let quick = a.flag("quick");
+    for e in experiments::select(name)? {
+        let t0 = std::time::Instant::now();
+        let out = (e.run)(quick);
+        println!("{}", out.text);
+        println!("[elapsed {:.1}s]", t0.elapsed().as_secs_f64());
+        let path = experiments::save_result(e.file, quick, &out.json)
+            .map_err(|err| format!("cannot write {}.json: {err}", e.file))?;
+        println!("[saved {}]", path.display());
     }
     Ok(())
 }
@@ -534,7 +489,6 @@ fn run() -> Result<(), String> {
         "experiment" => cmd_experiment(&a),
         "pipeline" => cmd_pipeline(&a),
         "serve" => cmd_serve(&a),
-        "battery" => cmd_single(&a),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -549,6 +503,29 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_exactly_the_experiment_registry() {
+        let listed: Vec<&str> = USAGE
+            .split("one of:")
+            .nth(1)
+            .and_then(|rest| rest.split("--quick").next())
+            .expect("the experiment block names its experiments")
+            .split_whitespace()
+            .collect();
+        let mut names: Vec<&str> = experiments::REGISTRY.iter().map(|e| e.name).collect();
+        names.push("all");
+        assert_eq!(listed, names);
+        let err = experiments::select("nope").err().expect("unknown name");
+        for name in names {
+            assert!(err.contains(name), "{err} lacks {name}");
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Prints a paper-vs-measured comparison for Tables IV/V from the JSON
-//! results the bench harness wrote (`results/table4_public.json`,
-//! `results/table5_isp.json`). Run after `cargo bench`:
+//! results `logsynergy experiment` wrote (`results/table4_public.json`,
+//! `results/table5_isp.json`). Run after `logsynergy experiment table4`
+//! and `logsynergy experiment table5`:
 //!
 //! `cargo run --release -p logsynergy-eval --example paper_comparison`
 
@@ -9,7 +10,9 @@ use logsynergy_eval::paper::{paper_prf, PaperCell, TABLE4, TABLE5};
 
 fn compare(title: &str, path: &str, table: &[PaperCell]) {
     let Ok(raw) = std::fs::read_to_string(path) else {
-        eprintln!("{title}: no results at {path} (run `cargo bench` first)");
+        eprintln!(
+            "{title}: no results at {path} (run `logsynergy experiment table4` / `table5` first)"
+        );
         return;
     };
     let results: Vec<TargetResults> = serde_json::from_str(&raw).expect("valid results JSON");

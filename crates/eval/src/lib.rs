@@ -2,10 +2,13 @@
 //!
 //! The experiment harness: metrics (§IV-A3), a uniform runner over
 //! LogSynergy + the nine baselines, and regenerators for **every table and
-//! figure** of the paper's evaluation:
+//! figure** of the paper's evaluation. [`experiments::REGISTRY`] names
+//! each artifact's configuration and result file; `logsynergy experiment
+//! <name>` runs it.
 //!
 //! | Paper artifact | Runner |
 //! |---|---|
+//! | Table I (syntax gap) | [`experiments::table1`] |
 //! | Table III (datasets) | [`experiments::table3`] |
 //! | Table IV (public group) | [`experiments::table4`] |
 //! | Table V (ISP group) | [`experiments::table5`] |
@@ -15,6 +18,8 @@
 //! | Fig. 5 (ablation) | [`experiments::fig5`] |
 //! | Fig. 6 (lesson learned) | [`experiments::fig6`] |
 //! | Fig. 8 (case study) | [`experiments::fig8_case_study`] |
+//! | §VI-B (deployment costs) | [`experiments::deployment_costs`] |
+//! | Design ablations | [`experiments::design_ablations`] |
 
 #![warn(missing_docs)]
 

@@ -68,7 +68,9 @@ const MAX_LINE_BYTES: usize = 64 * 1024;
 const PENDING_CONNECTIONS: usize = 64;
 
 /// Per-read socket timeout: the granularity at which an idle
-/// connection's handler (and the accept thread) notices the stop flag.
+/// connection's handler notices the stop flag. It is also the accept
+/// thread's back-off when nothing is pending; that wait is a park, which
+/// [`Daemon::initiate_drain`] cuts short.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// Tuning knobs for the ingest daemon.
@@ -382,8 +384,13 @@ impl Daemon {
             deadline.get_or_insert(Instant::now() + self.shared.drain_timeout);
         }
         self.shared.stop.store(true, Ordering::Relaxed);
-        // The accept thread polls a non-blocking listener and notices
-        // the flag within one IDLE_POLL — no wake-up connection needed.
+        // The accept and reload threads wait in `park_timeout` between
+        // polls: unpark them so they see the flag now, not at the end of
+        // their wait — no wake-up connection needed.
+        self.accept.thread().unpark();
+        if let Some(r) = &self.reloader {
+            r.thread().unpark();
+        }
     }
 
     /// Graceful drain: stop accepting, give in-flight connections up to
@@ -440,8 +447,8 @@ fn accept_loop(listener: TcpListener, conn_tx: Sender<TcpStream>, shared: Arc<Sh
             }
             // Nothing pending — or a transient accept failure (EMFILE, a
             // reset mid-handshake): back off a beat instead of spinning
-            // hot.
-            Err(_) => thread::sleep(IDLE_POLL),
+            // hot. A park, so `initiate_drain` can end the wait early.
+            Err(_) => thread::park_timeout(IDLE_POLL),
         }
     }
     // Sweep what raced drain initiation: a connection already in the
@@ -983,8 +990,12 @@ fn reload_loop(path: PathBuf, poll: Duration, shared: Arc<Shared>) {
     // the resulting first-poll reload is a no-op when nothing changed
     // (reload preserves bucket fill and revokes nothing that survived).
     let mut last_text: Option<String> = None;
-    while !shared.stopping() {
-        thread::sleep(poll);
+    loop {
+        // A park, so `initiate_drain` can end the wait early.
+        thread::park_timeout(poll);
+        if shared.stopping() {
+            return;
+        }
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             // A transiently missing file (atomic-rename writers) keeps

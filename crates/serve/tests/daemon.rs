@@ -970,3 +970,46 @@ fn watermark_sheds_with_429_style_frames_and_exact_accounting() {
         summary.windows
     );
 }
+
+/// Drain returns as soon as the work is done: it does not sleep out the
+/// accept thread's idle back-off or the tenants-file reload poll. Each
+/// try serves one connection first, so the accept thread has just begun
+/// its back-off when the drain starts (the worst case for a sleeping
+/// loop), and the reload poll is the default 500 ms.
+#[test]
+fn an_idle_daemon_drains_without_waiting_out_a_poll() {
+    let dir = std::env::temp_dir().join(format!("logsynergy-drain-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("tenants.conf");
+    std::fs::write(&path, "tenant alpha token=alpha-t\n").unwrap();
+    let fastest = (0..3)
+        .map(|_| {
+            let specs = parse_tenants(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            let daemon = start(
+                ServeConfig::default(),
+                specs,
+                Some(path.clone()),
+                vectorizer(),
+                TableScorer,
+                MemorySink::new(),
+            )
+            .unwrap();
+            // Let the reload thread enter its first wait.
+            std::thread::sleep(Duration::from_millis(20));
+            let mut conn = TcpStream::connect(daemon.addr()).unwrap();
+            conn.write_all(b"HELLO alpha-t\nQUIT\n").unwrap();
+            let mut resp = String::new();
+            conn.read_to_string(&mut resp).unwrap();
+            assert!(resp.contains("\"tenant\":\"alpha\""), "{resp}");
+            let t0 = Instant::now();
+            daemon.drain();
+            t0.elapsed()
+        })
+        .min()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        fastest < Duration::from_millis(20),
+        "an idle daemon took {fastest:?} to drain"
+    );
+}

@@ -4,6 +4,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Quick-mode runs write under target/quick-results/, never into the
+# committed results/: the last step checks that git's view of results/
+# and the bytes of every file in it are as they were here.
+results_snapshot() { git status --porcelain results/; cat results/* | sha256sum; }
+results_before="$(results_snapshot)"
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -125,22 +131,28 @@ LOGSYNERGY_BENCH_QUICK=1 cargo bench --bench fig7_pipeline_throughput
 echo "==> quant accuracy + throughput smoke (quick mode)"
 # Quick quant_scoring run: asserts ≥ 99.5% verdict agreement with f32,
 # |ΔF1| ≤ 0.005, and int8 model-tier throughput ≥ 1.3× the f32 plan's
-# measured in the same process; refreshes results/quant.json.
+# measured in the same process; writes target/quick-results/quant.json.
 LOGSYNERGY_BENCH_QUICK=1 cargo bench -p logsynergy-bench --features quant --bench quant_scoring
 
 echo "==> telemetry overhead contract (quick mode)"
 # Paired on/off repetitions of the Fig. 7 serving run; asserts the
-# instrumented median stays within the 2% overhead contract and refreshes
-# results/telemetry_overhead.json.
+# instrumented median stays within the 2% overhead contract and writes
+# target/quick-results/telemetry_overhead.json.
 LOGSYNERGY_BENCH_QUICK=1 cargo bench --bench telemetry_overhead
 
 echo "==> group-commit WAL throughput smoke (quick mode)"
 # Quick durable-vs-in-memory run: asserts group commit buys ≥ 3× over
 # per-record flush on the isolated WAL ack path, durable stays within
 # 1.5× of in-memory at the Fig. 7 operating point, and (quick-mode
-# smoke gate) durable throughput ≥ 0.5× in-memory there; refreshes
-# results/wal_group_commit.json.
+# smoke gate) durable throughput ≥ 0.5× in-memory there; writes
+# target/quick-results/wal_group_commit.json.
 LOGSYNERGY_BENCH_QUICK=1 cargo bench -p logsynergy-bench --bench wal_group_commit
+
+echo "==> paper-artifact regenerator smoke (experiment fig6 --quick)"
+# The one regenerator of the paper's tables and figures, end to end on
+# its cheapest trained artifact (Fig. 6's four transfers); the quick
+# run writes target/quick-results/fig6_lessons.json.
+target/release/logsynergy experiment fig6 --quick
 
 echo "==> socket-to-verdict benchmark smoke (quick mode)"
 # A tenth-size run of benchmark/ (its own workspace and lock file): all
@@ -325,5 +337,14 @@ assert pipe.get("crashed_workers", 0) == 0, out
 print(f"kill-and-recover OK: 500 logs across a SIGKILL, {pipe['windows']} windows, exact accounting")
 PY
 rm -rf "$wal_dir"
+
+echo "==> committed results/ untouched"
+results_after="$(results_snapshot)"
+if [ "$results_after" != "$results_before" ]; then
+  echo "FAIL: this run changed results/:" >&2
+  diff <(echo "$results_before") <(echo "$results_after") >&2 || true
+  exit 1
+fi
+echo "results/ as found"
 
 echo "CI OK"

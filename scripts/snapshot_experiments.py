@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Appends a measured-results snapshot to EXPERIMENTS.md from results/*.json.
 
-Run after `cargo bench --workspace`:
+Run after `logsynergy experiment all` (full runs write results/; quick
+runs write target/quick-results/ and are not read here):
     python3 scripts/snapshot_experiments.py
 """
 import json

@@ -1,6 +1,6 @@
 //! Paper-shape assertions on the lighter experiments (the heavyweight
 //! Table IV/V shapes are asserted by `end_to_end.rs` on one target and
-//! regenerated in full by the bench harness).
+//! regenerated in full by `logsynergy experiment table4` / `table5`).
 
 use logsynergy_eval::experiments::{fig6, fig8_case_study, table3};
 use logsynergy_eval::ExperimentConfig;
