@@ -27,6 +27,8 @@ use logsynergy_pipeline::{
 const USAGE: &str = "\
 logsynergy <command> [options]
 
+An option a command does not list below is refused, not ignored.
+
 commands:
   generate    synthesize a system's log stream
                 --system <bgl|spirit|thunderbird|system-a|system-b|system-c>
@@ -34,10 +36,15 @@ commands:
                 --boost <f>         anomaly density boost (default 3)
                 --out <path>        write messages (default stdout)
                 --labels <path>     also write per-line 0/1 labels
+                --metrics-out <p>   write a JSON telemetry snapshot when done
+                --metrics-listen <a> serve /metrics over HTTP while running
   train       train LogSynergy for a target system (sources = its group)
                 --target <system>   required
                 --logs <n>          logs per dataset (default 30000)
                 --epochs <n>        training epochs (default 5)
+                --quick             start from the quick experiment scale
+                --n-source <n>      labeled source sequences per system
+                --n-target <n>      labeled target sequences
                 --out <path>        save the trained model (default model.json)
                 --metrics-out <p>   write a JSON telemetry snapshot when done
                 --metrics-listen <a> serve /metrics over HTTP while running
@@ -45,6 +52,10 @@ commands:
                 --model <path>      required
                 --target <system>   required (must match training)
                 --logs <n>          must match training (default 30000)
+                --quick             must match training
+                --n-target <n>      must match training
+                --metrics-out <p>   write a JSON telemetry snapshot when done
+                --metrics-listen <a> serve /metrics over HTTP while running
   experiment  regenerate a paper artifact into results/<file>.json
                 <name>              one of: table1 table3 table4 table5 fig4
                                     fig5 fig6 fig8 deployment_costs
@@ -92,12 +103,10 @@ commands:
                 --wal-dir <p>       durable mode: log every accepted record
                                     before acknowledging it and replay
                                     unacked records on restart (docs/wal.md)
-                --ingest-batch <n>  records a handler group-commits per
-                                    partition flush; 1 = per-record
-                                    (default 64)
-                --ingest-batch-deadline-ms <n> longest a record waits in a
-                                    handler micro-batch before a forced
-                                    flush (default 2)
+                --ingest-batch <n>  most records a handler group-commits
+                                    per partition flush; a flush also
+                                    happens whenever the client's input
+                                    runs dry; 1 = per-record (default 64)
                 --addr-file <p>     write the bound addresses as JSON once
                                     the daemon is ready
                 --metrics-out <p>   write a JSON telemetry snapshot when done
@@ -169,6 +178,7 @@ fn cmd_generate(a: &Args) -> Result<(), String> {
     let system = system_of(a.get("system").ok_or("--system is required")?)?;
     let logs: usize = a.num("logs", 20_000usize)?;
     let boost: f64 = a.num("boost", 3.0f64)?;
+    let metrics = Metrics::start(a)?;
     let spec = datasets::spec_for(system);
     let scale = (logs as f64 / spec.n_logs as f64).min(1.0);
     let ds = spec.generate_with(scale, boost);
@@ -193,7 +203,7 @@ fn cmd_generate(a: &Args) -> Result<(), String> {
         ds.num_anomalous_logs(),
         system.name()
     );
-    Ok(())
+    metrics.finish()
 }
 
 fn build_pipeline(cfg: &ExperimentConfig) -> Pipeline {
@@ -236,6 +246,7 @@ fn cmd_detect(a: &Args) -> Result<(), String> {
     let target = system_of(a.get("target").ok_or("--target is required")?)?;
     let model_path = a.get("model").ok_or("--model is required")?;
     let cfg = cfg_from(a)?;
+    let metrics = Metrics::start(a)?;
     let model = persist::load(model_path).map_err(|e| e.to_string())?;
     let p = build_pipeline(&cfg);
     let tgt = p.prepare(&cfg.generate(target));
@@ -252,12 +263,11 @@ fn cmd_detect(a: &Args) -> Result<(), String> {
         prf.recall,
         prf.f1
     );
-    Ok(())
+    metrics.finish()
 }
 
 fn cmd_experiment(a: &Args) -> Result<(), String> {
     let name = a.positionals.first().ok_or("experiment name required")?;
-    a.only(&["quick"])?;
     let quick = a.flag("quick");
     for e in experiments::select(name)? {
         let t0 = std::time::Instant::now();
@@ -404,10 +414,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         listen: a.get_or("listen", "127.0.0.1:4517").to_string(),
         drain_timeout: std::time::Duration::from_secs(a.num("drain-timeout", 5u64)?),
         ingest_batch: a.num("ingest-batch", defaults.ingest_batch)?,
-        ingest_batch_deadline: std::time::Duration::from_millis(a.num(
-            "ingest-batch-deadline-ms",
-            defaults.ingest_batch_deadline.as_millis() as u64,
-        )?),
         pipeline: PipelineConfig {
             partitions: a.num("workers", PipelineConfig::default().partitions)?,
             batch_windows: a.num("batch", PipelineConfig::default().batch_windows)?,
@@ -480,25 +486,110 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     metrics.finish()
 }
 
-fn run() -> Result<(), String> {
-    let a = Args::parse(std::env::args().skip(1)).map_err(|e| format!("{e}\n\n{USAGE}"))?;
-    match a.command.as_str() {
-        "generate" => cmd_generate(&a),
-        "train" => cmd_train(&a),
-        "detect" => cmd_detect(&a),
-        "experiment" => cmd_experiment(&a),
-        "pipeline" => cmd_pipeline(&a),
-        "serve" => cmd_serve(&a),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command: {other}\n\n{USAGE}")),
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every command: its name, its handler, and the options it takes. An
+/// option outside the list is refused by name before the command runs,
+/// so a typo (`--log` for `--logs`) or a removed option is an error,
+/// never a silent default.
+const COMMANDS: [(&str, Command, &[&str]); 6] = [
+    (
+        "generate",
+        cmd_generate,
+        &[
+            "system",
+            "logs",
+            "boost",
+            "out",
+            "labels",
+            "metrics-out",
+            "metrics-listen",
+        ],
+    ),
+    (
+        "train",
+        cmd_train,
+        &[
+            "target",
+            "logs",
+            "epochs",
+            "quick",
+            "n-source",
+            "n-target",
+            "out",
+            "metrics-out",
+            "metrics-listen",
+        ],
+    ),
+    (
+        "detect",
+        cmd_detect,
+        &[
+            "model",
+            "target",
+            "logs",
+            "quick",
+            "n-target",
+            "metrics-out",
+            "metrics-listen",
+        ],
+    ),
+    ("experiment", cmd_experiment, &["quick"]),
+    (
+        "pipeline",
+        cmd_pipeline,
+        &[
+            "target",
+            "workers",
+            "batch",
+            "cache",
+            "max-retries",
+            "shed-watermark",
+            "library-capacity",
+            "core-budget",
+            "quant",
+            "wal-dir",
+            "metrics-out",
+            "metrics-listen",
+        ],
+    ),
+    (
+        "serve",
+        cmd_serve,
+        &[
+            "tenants-file",
+            "listen",
+            "target",
+            "drain-timeout",
+            "workers",
+            "batch",
+            "cache",
+            "shed-watermark",
+            "wal-dir",
+            "ingest-batch",
+            "addr-file",
+            "metrics-out",
+            "metrics-listen",
+        ],
+    ),
+];
+
+fn run(argv: impl Iterator<Item = String>) -> Result<(), String> {
+    let a = Args::parse(argv).map_err(|e| format!("{e}\n\n{USAGE}"))?;
+    if matches!(a.command.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return Ok(());
     }
+    let (_, command, options) = COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == a.command)
+        .ok_or_else(|| format!("unknown command: {}\n\n{USAGE}", a.command))?;
+    a.only(options)?;
+    command(&a)
 }
 
 fn main() -> ExitCode {
-    match run() {
+    match run(std::env::args().skip(1)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -510,6 +601,82 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_line(line: &str) -> Result<(), String> {
+        run(line.split_whitespace().map(str::to_string))
+    }
+
+    /// The options USAGE lists under `command`: the leading `--name` of
+    /// each line of its block.
+    fn usage_options(command: &str) -> Vec<&'static str> {
+        let header = format!("  {command} ");
+        let mut lines = USAGE.lines().skip_while(|l| !l.starts_with(&header));
+        let first = lines.next().expect("USAGE has a block per command");
+        std::iter::once(first.trim_start_matches(&header))
+            .chain(lines.take_while(|l| !l.starts_with("  ") || l.starts_with("   ")))
+            .filter_map(|l| l.split_whitespace().next()?.strip_prefix("--"))
+            .collect()
+    }
+
+    #[test]
+    fn usage_documents_exactly_the_options_each_command_takes() {
+        for (name, _, options) in COMMANDS {
+            let mut listed = usage_options(name);
+            let mut taken = options.to_vec();
+            listed.sort_unstable();
+            taken.sort_unstable();
+            assert_eq!(listed, taken, "{name}");
+        }
+    }
+
+    #[test]
+    fn generate_refuses_an_option_it_does_not_take() {
+        assert_eq!(
+            run_line("generate --system bgl --log 10").unwrap_err(),
+            "generate does not take --log"
+        );
+    }
+
+    #[test]
+    fn train_refuses_an_option_it_does_not_take() {
+        assert_eq!(
+            run_line("train --target system-b --epoch 2").unwrap_err(),
+            "train does not take --epoch"
+        );
+    }
+
+    #[test]
+    fn detect_refuses_an_option_it_does_not_take() {
+        // `--epochs` is a training option: detect would have ignored it.
+        assert_eq!(
+            run_line("detect --model m.json --target system-b --epochs 2").unwrap_err(),
+            "detect does not take --epochs"
+        );
+    }
+
+    #[test]
+    fn experiment_refuses_an_option_it_does_not_take() {
+        assert_eq!(
+            run_line("experiment fig6 --quick --logs 5").unwrap_err(),
+            "experiment does not take --logs"
+        );
+    }
+
+    #[test]
+    fn pipeline_refuses_an_option_it_does_not_take() {
+        assert_eq!(
+            run_line("pipeline --target system-b --worker 2").unwrap_err(),
+            "pipeline does not take --worker"
+        );
+    }
+
+    #[test]
+    fn serve_refuses_the_removed_batch_deadline_option() {
+        assert_eq!(
+            run_line("serve --tenants-file t.conf --ingest-batch-deadline-ms 2").unwrap_err(),
+            "serve does not take --ingest-batch-deadline-ms"
+        );
+    }
 
     #[test]
     fn usage_lists_exactly_the_experiment_registry() {

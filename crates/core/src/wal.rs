@@ -950,9 +950,10 @@ impl PartitionWal {
 
     /// The body of [`PartitionWal::append_batch`]: encodes frames into
     /// `buf`, flushing the accumulated chunk wherever a segment roll
-    /// falls (the roll decision per frame is exactly the single-append
-    /// `maybe_roll`, with the unwritten chunk counted toward the live
-    /// segment's size) and once at the end. `flushes` counts the
+    /// falls (the size decision per frame is exactly a single append's,
+    /// with the unwritten chunk counted toward the live segment's size;
+    /// the age decision is taken once for the batch) and once at the
+    /// end. `flushes` counts the
     /// write+flush syscall pairs actually issued.
     fn append_batch_chunks(
         &mut self,
@@ -962,6 +963,10 @@ impl PartitionWal {
     ) -> Result<(), WalError> {
         // Records encoded into `buf` but not yet written.
         let mut chunk = 0u64;
+        // The segment's age is read once per batch, not per frame: a
+        // batch found over age rolls once, at its head, and a roll
+        // resets it. Size rolls stay per frame.
+        let mut over_age = self.seg_opened.elapsed() >= self.config.segment_max_age;
         for &(system, timestamp, message) in records {
             // One fault consult per record — the same cadence as N
             // single appends, so a seeded plan cannot tell a batched
@@ -978,7 +983,6 @@ impl PartitionWal {
             if self.seg_records + chunk > 0 {
                 let over_size =
                     self.seg_bytes + frame_start as u64 + frame_len > self.config.segment_max_bytes;
-                let over_age = self.seg_opened.elapsed() >= self.config.segment_max_age;
                 if over_size || over_age {
                     // The roll lands before this frame: group-commit
                     // the chunk into the closing segment, roll, and
@@ -986,6 +990,7 @@ impl PartitionWal {
                     self.flush_chunk(&buf[..frame_start], chunk, flushes)?;
                     chunk = 0;
                     self.roll()?;
+                    over_age = false;
                     buf.copy_within(frame_start.., 0);
                     buf.truncate(frame_len as usize);
                 }
@@ -1618,6 +1623,27 @@ mod tests {
         assert_eq!(list_segments(&dir).unwrap().len(), 2);
         let r = recover_partition(&dir).unwrap();
         assert_eq!(r.replay.len(), 2);
+    }
+
+    #[test]
+    fn a_batch_into_an_over_age_segment_rolls_once_at_its_head() {
+        let dir = tmp_dir("age-batch");
+        let cfg = WalConfig {
+            segment_max_age: Duration::from_millis(5),
+            ..WalConfig::default()
+        };
+        let (mut wal, _) = PartitionWal::open(&dir, cfg).unwrap();
+        wal.append("s", 0, "first").unwrap();
+        std::thread::sleep(Duration::from_millis(10));
+        let batch: Vec<(&str, u64, &str)> = (1..6).map(|i| ("s", i, "later")).collect();
+        assert_eq!(wal.append_batch(&batch).unwrap(), 1..6);
+        // One roll, before the batch's first frame: the old segment keeps
+        // seq 0, the new one (based at 1) holds the whole batch.
+        assert_eq!(list_segments(&dir).unwrap(), vec![0, 1]);
+        drop(wal);
+        let r = recover_partition(&dir).unwrap();
+        let seqs: Vec<u64> = r.replay.iter().map(|rec| rec.seq).collect();
+        assert_eq!(seqs, (0..6).collect::<Vec<_>>());
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvErr
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::error::PipelineError;
 use crate::faults::{self, points, Fault};
@@ -162,16 +162,20 @@ pub struct Consumer {
 }
 
 impl Consumer {
-    /// Drains up to `max` logs as one burst, waiting at most `deadline`.
+    /// Drains up to `max` logs as one burst: whatever is queued when the
+    /// consumer comes for it.
     ///
-    /// Returns as soon as `max` logs are in hand; otherwise collects
-    /// whatever arrives until the deadline elapses and returns the partial
-    /// batch (possibly empty — keep polling). Returns `None` only when
-    /// the partition is drained *and* all producers are gone: the
-    /// definitive end of stream. Queued records leave the channel in one
-    /// [`Receiver::try_recv_into`] drain per lock acquisition, and the
-    /// dequeue counter is updated once per batch — one stats-lock
-    /// round-trip per burst instead of one per log.
+    /// Returns as soon as `max` logs are in hand, or as soon as the
+    /// shard runs dry with at least one log in hand — a batch closes when
+    /// its input does, never by waiting for more. With nothing in hand it
+    /// blocks up to `deadline` for the first log and returns an empty
+    /// batch if none comes (keep polling); `Duration::ZERO` never blocks.
+    /// Returns `None` only when the partition is drained *and* all
+    /// producers are gone: the definitive end of stream. Queued records
+    /// leave the channel in one [`Receiver::try_recv_into`] drain per
+    /// lock acquisition, and the dequeue counter is updated once per
+    /// batch — one stats-lock round-trip per burst instead of one per
+    /// log.
     pub fn recv_batch(&mut self, max: usize, deadline: Duration) -> Option<Vec<RawLog>> {
         // `batch.drain` injection point, consulted before any record is
         // pulled off the channel so an injected panic can never lose logs
@@ -182,28 +186,23 @@ impl Consumer {
             Some(Fault::TransientError) => return Some(Vec::new()),
             Some(Fault::CorruptScore) | None => {}
         }
-        let end = Instant::now() + deadline;
         let mut out = Vec::with_capacity(max.min(1024));
         let mut closed = false;
         while out.len() < max {
-            // Take what is queued in one drain; once the shard is empty,
-            // block until the deadline for the next record. The depth
+            // Take what is queued in one drain. Once the shard is empty
+            // the batch closes if it holds anything; only an empty hand
+            // blocks, up to the deadline, for the first record. The depth
             // falls with every drain, before any wait, so a producer's
             // room check never counts records already in hand here.
             let want = max - out.len();
             let moved = match self.receiver.try_recv_into(&mut out, want) {
                 Ok(n) => Ok(n),
                 Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
-                Err(TryRecvError::Empty) => {
-                    let now = Instant::now();
-                    if now >= end {
-                        break;
-                    }
-                    self.receiver.recv_timeout(end - now).map(|log| {
-                        out.push(log);
-                        1
-                    })
-                }
+                Err(TryRecvError::Empty) if !out.is_empty() => break,
+                Err(TryRecvError::Empty) => self.receiver.recv_timeout(deadline).map(|log| {
+                    out.push(log);
+                    1
+                }),
             };
             match moved {
                 Ok(n) => {
@@ -235,6 +234,7 @@ impl Consumer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn raw(system: &str, i: u64) -> RawLog {
         RawLog {
@@ -300,21 +300,31 @@ mod tests {
         let p = buf.producer();
         send_keyed(&p, (0..3).map(|i| raw("x", i)));
         let mut c = buf.partition_consumer(0);
-        // Producer still connected: the deadline, not disconnection, ends
-        // the wait, and the partial batch comes back intact and in order.
+        // Producer still connected and the batch short of its cap: the
+        // shard running dry closes it, whole and in order, long before
+        // the deadline.
         let start = Instant::now();
-        let batch = c.recv_batch(10, Duration::from_millis(30)).unwrap();
+        let batch = c.recv_batch(10, Duration::from_secs(10)).unwrap();
         assert_eq!(
             timestamps(&batch),
             vec![0, 1, 2],
-            "partial batch must hold everything sent before the deadline"
+            "a short batch holds everything that was queued"
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "a short batch closes when the shard runs dry, not at the deadline"
+        );
+        // Nothing queued: the wait runs to the deadline and comes back
+        // empty — an idle poll, not end-of-stream.
+        let start = Instant::now();
+        assert_eq!(
+            c.recv_batch(10, Duration::from_millis(30)).unwrap().len(),
+            0
         );
         assert!(
             start.elapsed() >= Duration::from_millis(30),
-            "an unfilled batch waits out the deadline"
+            "an empty hand waits out the deadline"
         );
-        // Nothing arrives: an empty batch, not end-of-stream.
-        assert_eq!(c.recv_batch(10, Duration::from_millis(5)).unwrap().len(), 0);
         // Every sender gone (the buffer holds one per partition) and the
         // queue drained: definitive end of stream.
         drop(p);
@@ -440,27 +450,34 @@ mod tests {
     fn depth_falls_while_a_short_batch_waits_out_its_deadline() {
         let buf = LogBuffer::new(1, 64);
         let p = buf.producer();
+        let mut c = buf.partition_consumer(0);
+        // A consumer blocked with an empty hand takes the first record
+        // off the wait and the rest off the queue (the three went in
+        // under one lock): they come back as one batch, before the
+        // deadline, and none is still counted as queued.
+        let start = Instant::now();
+        let consumer = std::thread::spawn(move || {
+            let batch = c.recv_batch(10, Duration::from_secs(10));
+            (c, batch)
+        });
         p.send_many_to(0, (0..3).map(|i| raw("x", i)).collect())
             .unwrap();
-        assert_eq!(p.depth(0), 3);
-        let mut c = buf.partition_consumer(0);
-        let start = Instant::now();
-        let consumer = std::thread::spawn(move || c.recv_batch(10, Duration::from_secs(10)));
-        // The three records are in the consumer's hand while it waits for
-        // seven more: the backlog a producer's room check sees is 0.
-        while p.depth(0) > 0 && start.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(p.depth(0), 0, "records in hand still counted as queued");
-        assert!(!consumer.is_finished(), "the batch is still short");
-        p.send_many_to(0, (3..10).map(|i| raw("x", i)).collect())
-            .unwrap();
-        let batch = consumer.join().unwrap().unwrap();
-        assert_eq!(timestamps(&batch), (0..10).collect::<Vec<_>>());
+        let (mut c, batch) = consumer.join().unwrap();
+        assert_eq!(timestamps(&batch.unwrap()), vec![0, 1, 2]);
         assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "a full batch returns"
+            start.elapsed() < Duration::from_secs(5),
+            "a short batch returns before the deadline"
         );
+        assert_eq!(p.depth(0), 0, "records in hand still counted as queued");
+        // A batch capped short of the queue: exactly what is left behind
+        // is counted, nothing in hand is.
+        p.send_many_to(0, (3..13).map(|i| raw("x", i)).collect())
+            .unwrap();
+        let batch = c.recv_batch(4, Duration::from_secs(10)).unwrap();
+        assert_eq!(timestamps(&batch), (3..7).collect::<Vec<_>>());
+        assert_eq!(p.depth(0), 6, "records in hand still counted as queued");
+        let batch = c.recv_batch(64, Duration::from_secs(10)).unwrap();
+        assert_eq!(timestamps(&batch), (7..13).collect::<Vec<_>>());
         assert_eq!(p.depth(0), 0);
     }
 

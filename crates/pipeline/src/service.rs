@@ -6,9 +6,11 @@
 //! and a worker processes its shard in arrival order — so per-system
 //! window order, verdicts, and report order are identical to a
 //! single-thread run. Each worker drains its shard in bursts
-//! ([`crate::buffer::Consumer::recv_batch`]) bounded by a window cap and a
-//! latency deadline, answers pattern-library and score-cache hits inline,
-//! and ships the remaining windows through one batched model call.
+//! ([`crate::buffer::Consumer::recv_batch`]): a burst is whatever is
+//! queued when the worker comes for it, up to a window cap — it closes
+//! when the shard runs dry, never by waiting to fill. The worker answers
+//! pattern-library and score-cache hits inline and ships the remaining
+//! windows through one batched model call.
 //!
 //! Workers publish live telemetry into the global `logsynergy-telemetry`
 //! registry: per-tier verdict counters (`pipeline.tier.*`), batch-size and
@@ -35,6 +37,11 @@ use crate::record::{format_log, RawLog};
 use crate::report::ReportSink;
 use crate::vectorizer::EventVectorizer;
 
+/// How long an idle worker blocks on its empty shard before polling
+/// again. It bounds only an empty wait: a worker holding records never
+/// waits for more.
+const IDLE_POLL: Duration = Duration::from_millis(5);
+
 /// Serving knobs for [`start_pipeline`] and [`run_pipeline_with`].
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
@@ -42,11 +49,10 @@ pub struct PipelineConfig {
     pub partitions: usize,
     /// Per-partition buffer capacity (producers block when full).
     pub partition_capacity: usize,
-    /// Micro-batch size cap, in completed windows per batch.
+    /// Micro-batch size cap, in completed windows per batch. A batch
+    /// never waits to fill: it is whatever is queued when the worker
+    /// comes for it, up to this cap.
     pub batch_windows: usize,
-    /// Micro-batch latency deadline: a worker holds an unfilled batch at
-    /// most this long before scoring what it has.
-    pub batch_deadline: Duration,
     /// Per-worker window-score LRU cache capacity (0 disables).
     pub score_cache: usize,
     /// Retry budget per batch, for both transient model-tier failures
@@ -83,7 +89,6 @@ impl Default for PipelineConfig {
             partitions: 4,
             partition_capacity: 1024,
             batch_windows: 64,
-            batch_deadline: Duration::from_millis(5),
             score_cache: 4096,
             max_retries: 2,
             retry_backoff: Duration::from_millis(1),
@@ -481,7 +486,7 @@ where
                     // record leaves the queue; restart the drain after
                     // backoff — nothing was lost.
                     match catch_unwind(AssertUnwindSafe(|| {
-                        consumer.recv_batch(max_logs, cfg.batch_deadline)
+                        consumer.recv_batch(max_logs, IDLE_POLL)
                     })) {
                         Ok(batch) => batch,
                         Err(_) => {

@@ -22,7 +22,7 @@
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use logsynergy::model::LogSynergyModel;
@@ -92,7 +92,6 @@ fn chaos_config() -> PipelineConfig {
         batch_windows: 4,
         max_retries: 2,
         retry_backoff: Duration::from_micros(200),
-        batch_deadline: Duration::from_millis(2),
         ..PipelineConfig::default()
     }
 }
@@ -331,6 +330,28 @@ impl SequenceScorer for KeyScorer {
     }
 }
 
+/// [`KeyScorer`] behind a gate that starts shut: the first model-tier
+/// call parks the worker until [`HeldScorer::open`], and every call
+/// after it scores as `KeyScorer` does.
+#[derive(Clone, Default)]
+struct HeldScorer(Arc<(Mutex<bool>, Condvar)>);
+
+impl HeldScorer {
+    fn open(&self) {
+        let (open, cv) = &*self.0;
+        *open.lock().unwrap() = true;
+        cv.notify_all();
+    }
+}
+
+impl SequenceScorer for HeldScorer {
+    fn score(&self, events: &[u32], table: &[Vec<f32>]) -> f32 {
+        let (open, cv) = &*self.0;
+        drop(cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
+        KeyScorer.score(events, table)
+    }
+}
+
 fn warm_vectorizer() -> EventVectorizer {
     let mut v = EventVectorizer::new(SystemId::SystemB, EMBED_DIM, LeiConfig::default());
     v.warm_start(WAL_VOCAB.iter().copied());
@@ -365,7 +386,6 @@ fn wal_kill_and_recover_storm_preserves_exactly_once_accounting() {
         PipelineConfig {
             partitions: 1,
             batch_windows: 4,
-            batch_deadline: Duration::from_millis(2),
             ..PipelineConfig::default()
         },
     );
@@ -378,7 +398,6 @@ fn wal_kill_and_recover_storm_preserves_exactly_once_accounting() {
         let cfg = PipelineConfig {
             partitions: 1,
             batch_windows: 4,
-            batch_deadline: Duration::from_millis(2),
             wal: Some(WalOptions {
                 // Tiny segments so every round crosses roll boundaries
                 // and the roll-crash rounds have rolls to land on.
@@ -528,21 +547,21 @@ fn mid_batch_append_faults_keep_exactly_once_accounting() {
         PipelineConfig {
             partitions: 1,
             batch_windows: 4,
-            batch_deadline: Duration::from_millis(2),
             ..PipelineConfig::default()
         },
     );
     let baseline_reports = baseline_sink.reports();
 
     // Worker cursor commits consult the same WAL_APPEND point as the
-    // producer's appends; a lazy drain cadence (huge window batch, long
-    // deadline) keeps any commit far behind the sub-millisecond feed, so
-    // the armed fire deterministically lands in `send_batch`. Verdicts
-    // are batching-invariant, so the baseline still compares bitwise.
+    // producer's appends. The worker runs a `HeldScorer`: the first
+    // batch it takes holds the stream's first window, whose model call
+    // parks it before its first commit until the feed is over — so every
+    // consult while the plan is armed is the producer's and the armed
+    // fire lands in `send_batch`, however the threads are scheduled.
+    // Verdicts are batching-invariant, so the baseline still compares
+    // bitwise.
     let wal_config = |dir: &std::path::Path, segment_max_bytes: u64| PipelineConfig {
         partitions: 1,
-        batch_windows: 1024,
-        batch_deadline: Duration::from_millis(300),
         wal: Some(WalOptions {
             segment_max_bytes,
             ..WalOptions::at(dir.to_path_buf())
@@ -557,9 +576,10 @@ fn mid_batch_append_faults_keep_exactly_once_accounting() {
         let dir = std::env::temp_dir().join(format!("lswal-midbatch-err-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let sink = MemorySink::new();
+        let held = HeldScorer::default();
         let durable = start_pipeline(
             warm_vectorizer(),
-            KeyScorer,
+            held.clone(),
             sink.clone(),
             &wal_config(&dir, 2048),
         )
@@ -602,6 +622,7 @@ fn mid_batch_append_faults_keep_exactly_once_accounting() {
             "the armed fault must fire"
         );
         drop(guard);
+        held.open();
         assert!(retried > 0, "the fault must hand back a suffix to retry");
         let RunningPipeline { pool, producer, .. } = durable;
         drop(producer);
@@ -625,7 +646,8 @@ fn mid_batch_append_faults_keep_exactly_once_accounting() {
 
         let sink1 = MemorySink::new();
         let sent = with_quiet_panics(|| {
-            let durable = start_pipeline(warm_vectorizer(), KeyScorer, sink1.clone(), &cfg)
+            let held = HeldScorer::default();
+            let durable = start_pipeline(warm_vectorizer(), held.clone(), sink1.clone(), &cfg)
                 .expect("a fresh log directory must open");
             let guard = FaultPlan::seeded(23)
                 .arm(
@@ -648,6 +670,7 @@ fn mid_batch_append_faults_keep_exactly_once_accounting() {
                 "the armed crash must fire"
             );
             drop(guard);
+            held.open();
             let RunningPipeline { pool, producer, .. } = durable;
             drop(producer);
             let _ = pool.join();

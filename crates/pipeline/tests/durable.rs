@@ -5,7 +5,6 @@
 //! must be replayed and processed on the next start.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use logsynergy::wal::{recover_partition, PartitionWal, WalConfig};
 use logsynergy_lei::LeiConfig;
@@ -87,7 +86,6 @@ fn config(dir: &Path, partitions: usize) -> PipelineConfig {
     PipelineConfig {
         partitions,
         batch_windows: 8,
-        batch_deadline: Duration::from_millis(2),
         wal: Some(WalOptions {
             // Tiny segments so restarts cross roll boundaries too.
             segment_max_bytes: 2048,
@@ -128,7 +126,6 @@ fn split_stream_resumes_to_the_single_run_verdicts() {
         PipelineConfig {
             partitions: 1,
             batch_windows: 8,
-            batch_deadline: Duration::from_millis(2),
             ..PipelineConfig::default()
         },
     );
@@ -231,7 +228,6 @@ fn parked_records_with_no_cursor_are_replayed_on_start() {
         PipelineConfig {
             partitions: 1,
             batch_windows: 8,
-            batch_deadline: Duration::from_millis(2),
             ..PipelineConfig::default()
         },
     );
@@ -282,7 +278,6 @@ fn multi_partition_split_keeps_per_partition_order_and_accounting() {
         PipelineConfig {
             partitions: 4,
             batch_windows: 8,
-            batch_deadline: Duration::from_millis(2),
             ..PipelineConfig::default()
         },
     );

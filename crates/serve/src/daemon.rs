@@ -99,17 +99,13 @@ pub struct ServeConfig {
     /// Consecutive over-quota lines before the connection is dropped
     /// outright as abusive.
     pub quota_disconnect_after: u64,
-    /// Records a handler accumulates per partition before flushing them
-    /// through the ingest handle as one group commit (one lane-lock
+    /// Most records a handler accumulates per partition before flushing
+    /// them through the ingest handle as one group commit (one lane-lock
     /// acquisition and, behind a log, one WAL write+flush for the whole
-    /// batch). `1` flushes every record immediately — the
-    /// pre-batching behavior.
+    /// batch). A batch never waits to fill: everything pending is
+    /// flushed as soon as the bytes read from the socket hold no further
+    /// complete line. `1` flushes every record immediately.
     pub ingest_batch: usize,
-    /// Oldest a buffered record may grow before its connection's
-    /// pending batches are force-flushed, so a trickling client is
-    /// never more than roughly this far (plus one 50 ms idle poll) from
-    /// its durability ack.
-    pub ingest_batch_deadline: Duration,
     /// Detection-side configuration (partitions, capacity, shedding,
     /// retries — see the pipeline crate).
     pub pipeline: PipelineConfig,
@@ -127,7 +123,6 @@ impl Default for ServeConfig {
             quota_penalty: Duration::from_millis(2),
             quota_disconnect_after: 100_000,
             ingest_batch: 64,
-            ingest_batch_deadline: Duration::from_millis(2),
             pipeline: PipelineConfig::default(),
         }
     }
@@ -199,7 +194,6 @@ struct Shared {
     tenants: TenantTable,
     shed_watermark: usize,
     ingest_batch: usize,
-    ingest_batch_deadline: Duration,
     auth_deadline: Duration,
     quota_slow_after: u64,
     quota_penalty: Duration,
@@ -223,7 +217,6 @@ impl Shared {
             tenants: TenantTable::new(specs, config.pipeline.partitions),
             shed_watermark: config.pipeline.shed_watermark,
             ingest_batch: config.ingest_batch.max(1),
-            ingest_batch_deadline: config.ingest_batch_deadline,
             auth_deadline: config.auth_deadline,
             quota_slow_after: config.quota_slow_after.max(1),
             quota_penalty: config.quota_penalty,
@@ -539,48 +532,6 @@ enum Outcome {
     ParseError,
 }
 
-/// Per-connection, per-partition micro-batches awaiting group commit
-/// (same shape as `Consumer::recv_batch` on the worker side: size- and
-/// deadline-bounded). A record sits here *un-acknowledged* — nothing is
-/// counted accepted, shed, or refused until its batch flushes — so
-/// flush-before-ack durability is unchanged; the batch just amortizes
-/// the lane lock and the WAL write+flush across up to `ingest_batch`
-/// records.
-struct Pending {
-    parts: Vec<Vec<RawLog>>,
-    total: usize,
-    oldest: Option<Instant>,
-}
-
-impl Pending {
-    fn new(partitions: usize) -> Self {
-        Pending {
-            parts: (0..partitions).map(|_| Vec::new()).collect(),
-            total: 0,
-            oldest: None,
-        }
-    }
-
-    fn push(&mut self, partition: usize, log: RawLog) {
-        self.parts[partition].push(log);
-        self.total += 1;
-        self.oldest.get_or_insert_with(Instant::now);
-    }
-
-    fn take(&mut self, partition: usize) -> Vec<RawLog> {
-        let batch = std::mem::take(&mut self.parts[partition]);
-        self.total -= batch.len();
-        if self.total == 0 {
-            self.oldest = None;
-        }
-        batch
-    }
-
-    fn stale(&self, deadline: Duration) -> bool {
-        self.oldest.is_some_and(|t| t.elapsed() >= deadline)
-    }
-}
-
 /// What the socket loop does after feeding the connection an event.
 #[derive(Debug, PartialEq, Eq)]
 enum Flow {
@@ -604,7 +555,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
     let mut conn = Conn::new(shared, stream.try_clone()?);
-    let mut reader = BufReader::new(stream);
+    // A read takes up to a full line budget off the socket, so the
+    // buffer running out of complete lines means the socket had nothing
+    // more when it was last read: the input ran dry.
+    let mut reader = BufReader::with_capacity(MAX_LINE_BYTES, stream);
     // One line buffer for the whole connection, pre-sized to the line
     // budget: `read_line` appends into it and `clear()` keeps the
     // allocation, so a streaming client costs zero per-line allocations
@@ -623,7 +577,16 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
             Ok(_) => {
                 let flow = conn.on_line(&line);
                 line.clear();
-                flow
+                // Close the micro-batches when the input runs dry: the
+                // records pending are everything the client has sent so
+                // far, and their acks must not wait on records that may
+                // never come. Under load the next line is already here
+                // and the batches keep filling to `ingest_batch`.
+                if flow == Flow::Continue && !reader.buffer().contains(&b'\n') {
+                    conn.on_idle()
+                } else {
+                    flow
+                }
             }
             Err(e)
                 if matches!(
@@ -661,7 +624,14 @@ struct Conn<'a, W: Write> {
     counts: ConnCounts,
     consecutive_rejected: u64,
     consecutive_shed: u64,
-    pending: Pending,
+    /// Per-partition micro-batches awaiting group commit (same shape as
+    /// `Consumer::recv_batch` on the worker side: capped in size, closed
+    /// when the input runs dry). A record sits here *un-acknowledged* —
+    /// nothing is counted accepted, shed, or refused until its batch
+    /// flushes — so flush-before-ack durability is unchanged; the batch
+    /// just amortizes the lane lock and the WAL write+flush across up to
+    /// `ingest_batch` records.
+    pending: Vec<Vec<RawLog>>,
 }
 
 impl<'a, W: Write> Conn<'a, W> {
@@ -675,7 +645,7 @@ impl<'a, W: Write> Conn<'a, W> {
             counts: ConnCounts::default(),
             consecutive_rejected: 0,
             consecutive_shed: 0,
-            pending: Pending::new(shared.producer.partitions()),
+            pending: vec![Vec::new(); shared.producer.partitions()],
         }
     }
 
@@ -726,9 +696,9 @@ impl<'a, W: Write> Conn<'a, W> {
         expired
     }
 
-    /// The client went idle (a read timed out): flush whatever it has
-    /// pending rather than holding its acks for a batch that may never
-    /// fill.
+    /// The client's input ran dry (no further complete line is buffered,
+    /// or a read timed out): flush whatever it has pending rather than
+    /// holding its acks for a batch that may never fill.
     fn on_idle(&mut self) -> Flow {
         if self.auth_expired() {
             Flow::Close
@@ -742,20 +712,6 @@ impl<'a, W: Write> Conn<'a, W> {
     /// One line off the wire (terminator included; a line cut short by
     /// the 64 KiB budget or by EOF has none).
     fn on_line(&mut self, line: &str) -> Flow {
-        let flow = self.settle_line(line);
-        // Deadline-bound the micro-batches before the loop blocks on the
-        // next read: a trickling client's records must not sit
-        // unacknowledged behind a batch that never fills.
-        if flow == Flow::Continue
-            && self.pending.stale(self.shared.ingest_batch_deadline)
-            && !self.flush_all()
-        {
-            return Flow::Finish;
-        }
-        flow
-    }
-
-    fn settle_line(&mut self, line: &str) -> Flow {
         if self.auth_expired() {
             return Flow::Close;
         }
@@ -864,10 +820,10 @@ impl<'a, W: Write> Conn<'a, W> {
                 // Admitted: park the record in its partition's
                 // micro-batch. Nothing is acknowledged yet — the
                 // accept/shed/refuse verdict lands when the batch
-                // flushes (size cap here, deadline / idle / connection
-                // exit elsewhere).
-                self.pending.push(partition, record);
-                if self.pending.parts[partition].len() >= shared.ingest_batch
+                // flushes (size cap here; input running dry, HELLO or
+                // connection exit elsewhere).
+                self.pending[partition].push(record);
+                if self.pending[partition].len() >= shared.ingest_batch
                     && !self.flush_partition(partition)
                 {
                     return Flow::Finish;
@@ -896,7 +852,7 @@ impl<'a, W: Write> Conn<'a, W> {
     /// Flushes every non-empty partition batch of the connection. Returns
     /// `false` when the buffer is gone and the connection must close.
     fn flush_all(&mut self) -> bool {
-        (0..self.pending.parts.len()).all(|p| self.flush_partition(p))
+        (0..self.pending.len()).all(|p| self.flush_partition(p))
     }
 
     /// Group-commits one partition's pending micro-batch through the
@@ -907,7 +863,7 @@ impl<'a, W: Write> Conn<'a, W> {
     /// durability ack, which is what the batch amortizes. Returns
     /// `false` when the buffer is closed and the connection must end.
     fn flush_partition(&mut self, partition: usize) -> bool {
-        let batch = self.pending.take(partition);
+        let batch = std::mem::take(&mut self.pending[partition]);
         if batch.is_empty() {
             return true;
         }
@@ -935,13 +891,12 @@ impl<'a, W: Write> Conn<'a, W> {
         if landed > 0 {
             self.tally(Outcome::Accepted, landed as u64);
             self.consecutive_shed = 0;
+            // Every landed record waited the same flush: one histogram
+            // update per flush records all of them.
             let us = t0.elapsed().as_micros() as u64;
-            let tenant_latency = self.tenant.as_ref().map(|t| &t.latency_us);
-            for _ in 0..landed {
-                shared.m_latency.record(us);
-                if let Some(h) = tenant_latency {
-                    h.record(us);
-                }
+            shared.m_latency.record_n(us, landed as u64);
+            if let Some(t) = &self.tenant {
+                t.latency_us.record_n(us, landed as u64);
             }
         }
         match refused {
@@ -1315,8 +1270,7 @@ mod tests {
     fn idle_flushes_a_batch_that_never_filled() {
         let rig = Rig::new(
             ServeConfig {
-                // Out of reach: only the idle tick may flush.
-                ingest_batch_deadline: Duration::from_secs(3600),
+                // Short of the size cap: only the idle path may flush.
                 pipeline: one_partition(),
                 ..ServeConfig::default()
             },
@@ -1380,12 +1334,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let rig = Rig::new(
             ServeConfig {
+                // The sixteen records land in one flush, and nothing
+                // reaches the worker before that flush returns — so its
+                // cursor commits (which consult `wal.append` too) come
+                // after the armed fire, whatever the scheduling.
                 ingest_batch: 16,
                 pipeline: PipelineConfig {
-                    // A lazy drain keeps the worker's cursor commits
-                    // (which consult `wal.append` too) out of the feed.
-                    batch_windows: 1024,
-                    batch_deadline: Duration::from_millis(300),
                     // Tiny segments: the batch straddles rolls, so part
                     // of it is flushed before the fault lands.
                     wal: Some(WalOptions {

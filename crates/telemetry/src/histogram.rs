@@ -117,6 +117,21 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
+    /// Records `n` samples of the same value `v` with one update of each
+    /// field — the snapshot equals `n` calls of [`Histogram::record`].
+    /// `n == 0` records nothing.
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 || !crate::enabled() {
+            return;
+        }
+        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
+        self.min.fetch_min(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -270,6 +285,36 @@ mod tests {
         assert_eq!(merged.sum(), a.sum() + b.sum());
         assert_eq!(merged.max(), a.max().max(b.max()));
         assert_eq!(merged.min(), a.min().min(b.min()));
+    }
+
+    #[test]
+    fn record_n_matches_n_single_records() {
+        let (batched, single) = (Histogram::new(), Histogram::new());
+        for (v, n) in [
+            (7u64, 3u64),
+            (0, 1),
+            (1_000, 64),
+            (5, 0),
+            (u64::MAX / 3, 4),
+            (90, 17),
+        ] {
+            batched.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+            }
+            assert_eq!(batched.snapshot(), single.snapshot(), "after ({v}, {n})");
+        }
+        let buckets = |h: &Histogram| -> Vec<u64> {
+            h.buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect()
+        };
+        assert_eq!(buckets(&batched), buckets(&single));
+        // Nothing recorded by `n == 0` alone: min/max stay at empty.
+        let empty = Histogram::new();
+        empty.record_n(42, 0);
+        assert_eq!(empty.snapshot(), Histogram::new().snapshot());
     }
 
     #[test]

@@ -148,6 +148,14 @@ echo "==> group-commit WAL throughput smoke (quick mode)"
 # target/quick-results/wal_group_commit.json.
 LOGSYNERGY_BENCH_QUICK=1 cargo bench -p logsynergy-bench --bench wal_group_commit
 
+echo "==> unknown options are refused"
+# A typo of --logs must fail by name, not generate at the 20 000 default.
+if target/release/logsynergy generate --system bgl --log 10 >/dev/null 2>&1; then
+  echo "FAIL: generate accepted the unknown option --log" >&2
+  exit 1
+fi
+echo "unknown-option gate OK"
+
 echo "==> paper-artifact regenerator smoke (experiment fig6 --quick)"
 # The one regenerator of the paper's tables and figures, end to end on
 # its cheapest trained artifact (Fig. 6's four transfers); the quick
